@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import efficiency, switching
 from .params import (BroadeningSpec, DomainError, FieldEnvelope,
-                     PhysicalParams, SimulationGrid, quadrature_nodes,
-                     stark_shifted_detuning)
+                     PhysicalParams, SimulationGrid, is_off_resonant,
+                     quadrature_nodes, stark_shifted_detuning)
 
 __all__ = [
     "ControlSegment",
@@ -198,80 +197,102 @@ def gaussian_input(t_peak: float, sigma_t: float, axis: np.ndarray,
                          z=0.0, direction="forward", kind="time")
 
 
-def _input_callable(env):
-    if callable(env):
-        return env
-    axis, samples = env.axis, env.samples
-
-    def fn(tau):
-        return (np.interp(tau, axis, samples.real, left=0.0, right=0.0)
-                + 1j * np.interp(tau, axis, samples.imag, left=0.0,
-                                 right=0.0))
-    return fn
+def _midpoints(tau: np.ndarray) -> np.ndarray:
+    return tau[:-1] + 0.5 * (tau[1] - tau[0])
 
 
-def _cumtrapz0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(y, x, axis=0, initial=0.0)
+def _sample_input(env: FieldEnvelope | None, tau: np.ndarray):
+    """Input envelope at tau and at the step midpoints, zero outside its
+    axis and everywhere when the stage has no input (env None)."""
+    if env is None:
+        return np.zeros(len(tau), complex), np.zeros(len(tau) - 1, complex)
+    return tuple(np.interp(t, env.axis, env.samples.real, left=0.0,
+                           right=0.0)
+                 + 1j * np.interp(t, env.axis, env.samples.imag, left=0.0,
+                                  right=0.0)
+                 for t in (tau, _midpoints(tau)))
+
+
+# ===================== shared stage march =====================
+
+def _field_integral(s: np.ndarray, hz: np.ndarray, sign: int) -> np.ndarray:
+    """Trapezoid integral of s over the medium the field has already
+    crossed: Int_0^Z for a forward field (sign > 0), Int_Z^L for a backward
+    one, which enters at Z = L.  hz = 0.5 * diff(z).
+
+    Both models propagate as dE/dZ = sign * i c S with E = E_in at the
+    entrance face, so E(Z) = E_in + i c * (this integral) either way."""
+    out = np.empty_like(s)
+    terms = hz * (s[1:] + s[:-1])
+    if sign > 0:
+        out[0] = 0.0
+        terms.cumsum(out=out[1:])
+    else:
+        out[-1] = 0.0
+        terms[::-1].cumsum(out=out[-2::-1])
+    return out
+
+
+def _rk4_march(y, tau, drive, drive_mid, deriv, record):
+    """Classical RK4 over the uniform grid tau, shared by both models.
+
+    deriv(y, u) returns (dy/dtau, field) for the state y under the external
+    inputs u; drive[i] holds them at tau[i] and drive_mid[i] at
+    tau[i] + h/2, sampled once per run.  record(i, y, field) keeps what the
+    caller wants at tau[i]; the field comes from the k1 evaluation."""
+    h = tau[1] - tau[0]
+    last = len(tau) - 1
+    for i in range(last):
+        k1, f = deriv(y, drive[i])
+        record(i, y, f)
+        k2, _ = deriv(y + 0.5 * h * k1, drive_mid[i])
+        k3, _ = deriv(y + 0.5 * h * k2, drive_mid[i])
+        k4, _ = deriv(y + h * k3, drive[i + 1])
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    record(last, y, deriv(y, drive[last])[1])
+    return y
 
 
 # ===================== reduced solver =====================
 
-def _reduced_march(params, tau, z, d_nodes, weights, input_fn, stage,
-                   sign, m_init, m_subset):
-    """RK4 method-of-lines for the reduced model.  The field is algebraic in
-    M (single cumulative integral per evaluation), so the marching state is
-    just the (nz, nd) spin array."""
+def _reduced_march(params, tau, z, d_nodes, weights, e_in, stage, sign,
+                   m_init, m_subset):
+    """Reduced model: the field is algebraic in M, so the marching state is
+    just the (nz, nd) spin array.  e_in is the input field at tau and at
+    the step midpoints."""
     r = params.omega(stage) / params.delta0(stage)
-    coupl = 0.5 * params.beta * r
-    if stage == 1:
-        dt_nodes = d_nodes
-    else:
-        dt_nodes = -params.eta * d_nodes
+    ir = 1j * r
+    ic = 1j * (0.5 * params.beta * r)
+    dt_nodes = d_nodes if stage == 1 else -params.eta * d_nodes
     lam = -(1j * dt_nodes + params.gamma21)          # (nd,)
-    nt, nz, nd = len(tau), len(z), len(d_nodes)
-    m = m_init.astype(complex).copy()
+    hz = 0.5 * np.diff(z)
+    nt, nz = len(tau), len(z)
     e_hist = np.empty((nt, nz), dtype=complex)
     s_hist = np.empty((nt, nz), dtype=complex)
     m_hist = None
     if m_subset is not None:
-        z_idx, d_idx = m_subset
-        m_hist = np.empty((nt, len(z_idx), len(d_idx)), dtype=complex)
+        sub = np.ix_(*m_subset)
+        m_hist = np.empty((nt, len(m_subset[0]), len(m_subset[1])),
+                          dtype=complex)
 
-    def field_of(mm, t):
-        s = mm @ weights
-        if sign > 0:
-            e = input_fn(t) + 1j * coupl * _cumtrapz0(s, z)
-        else:
-            # dE/dZ = -i c S with E(L) = 0 gives E(Z) = +i c Int_Z^L S; the
-            # reversed cumulative integral below is -Int_Z^L, hence the sign
-            tail = _cumtrapz0(s[::-1], z[::-1])[::-1]
-            e = -1j * coupl * tail
-        return e, s
+    def deriv(m, e0):
+        s = m @ weights
+        e = e0 + ic * _field_integral(s, hz, sign)
+        return lam * m + ir * e[:, None], (e, s)
 
-    def rhs(mm, t):
-        e, _ = field_of(mm, t)
-        return lam[None, :] * mm + 1j * r * e[:, None]
-
-    dt = tau[1] - tau[0]
-    for it, t in enumerate(tau):
-        e, s = field_of(m, t)
-        e_hist[it] = e
-        s_hist[it] = s
+    def record(i, m, es):
+        e_hist[i], s_hist[i] = es
         if m_hist is not None:
-            m_hist[it] = m[np.ix_(z_idx, d_idx)]
-        if it == nt - 1:
-            break
-        k1 = rhs(m, t)
-        k2 = rhs(m + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(m + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(m + dt * k3, t + dt)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            m_hist[i] = m[sub]
+
+    m = _rk4_march(m_init.astype(complex), tau, e_in[0], e_in[1], deriv,
+                   record)
     return m, e_hist, s_hist, m_hist
 
 
 def simulate_storage_reduced(params: PhysicalParams,
                              broadening: BroadeningSpec,
-                             input_field, *,
+                             input_field: FieldEnvelope, *,
                              t_end: float | None = None,
                              dtau: float = 0.125,
                              n_nodes: int | None = None,
@@ -284,7 +305,7 @@ def simulate_storage_reduced(params: PhysicalParams,
     if params.beta <= 0:
         raise DomainError("params.beta must be resolved (> 0) before a run; "
                           "see efficiency.resolve_coupling")
-    if not _offres_ok(params, broadening, stage=1):
+    if not is_off_resonant(params, broadening, stage=1):
         raise DomainError("reduced model outside its validity range: "
                           "|delta01| must exceed the Rabi frequency and "
                           "broadening widths")
@@ -296,25 +317,16 @@ def simulate_storage_reduced(params: PhysicalParams,
     tau = np.linspace(0.0, t_end, nt)
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
-    input_fn = _input_callable(input_field)
+    e_in = _sample_input(input_field, tau)
     m0 = np.zeros((len(z), len(d_nodes)), dtype=complex)
     m, e_hist, s_hist, m_hist = _reduced_march(
-        params, tau, z, d_nodes, weights, input_fn, 1, +1, m0, m_subset)
-    e_in = np.array([input_fn(t) for t in tau])
+        params, tau, z, d_nodes, weights, e_in, 1, +1, m0, m_subset)
     out = FieldEnvelope(samples=e_hist[:, -1], axis=tau,
                         z=params.medium_length, direction="forward",
                         kind="time")
-    res = StageResult(tau=tau, z=z, d_nodes=d_nodes, weights=weights,
-                      field_out=out, m_final=m, e_history=e_hist,
-                      s_history=s_hist,
-                      energy_in=float(np.trapezoid(np.abs(e_in) ** 2, tau)),
-                      energy_out=out.energy(),
-                      stored=stored_excitation_reduced(params, z, weights, m))
-    if m_subset is not None:
-        res.m_history = m_hist
-        res.m_hist_z_idx = np.asarray(m_subset[0])
-        res.m_hist_d_idx = np.asarray(m_subset[1])
-    return res
+    return _stage_result(
+        params, tau, z, d_nodes, weights, out, m, e_hist, s_hist, m_hist,
+        m_subset, energy_in=float(np.trapezoid(np.abs(e_in[0]) ** 2, tau)))
 
 
 def simulate_retrieval_reduced(params: PhysicalParams,
@@ -340,15 +352,21 @@ def simulate_retrieval_reduced(params: PhysicalParams,
     tau = np.linspace(0.0, t_end, nt)
     sign = -1 if direction == "backward" else +1
     m, e_hist, s_hist, m_hist = _reduced_march(
-        params, tau, z, d_nodes, weights, lambda t: 0.0, 2, sign,
+        params, tau, z, d_nodes, weights, _sample_input(None, tau), 2, sign,
         m_initial, m_subset)
     exit_idx = 0 if direction == "backward" else -1
     out = FieldEnvelope(samples=e_hist[:, exit_idx], axis=tau,
                         z=float(z[exit_idx]), direction=direction,
                         kind="time")
+    return _stage_result(params, tau, z, d_nodes, weights, out, m, e_hist,
+                         s_hist, m_hist, m_subset, energy_in=0.0)
+
+
+def _stage_result(params, tau, z, d_nodes, weights, out, m, e_hist, s_hist,
+                  m_hist, m_subset, energy_in):
     res = StageResult(tau=tau, z=z, d_nodes=d_nodes, weights=weights,
                       field_out=out, m_final=m, e_history=e_hist,
-                      s_history=s_hist, energy_in=0.0,
+                      s_history=s_hist, energy_in=energy_in,
                       energy_out=out.energy(),
                       stored=stored_excitation_reduced(params, z, weights, m))
     if m_subset is not None:
@@ -356,15 +374,6 @@ def simulate_retrieval_reduced(params: PhysicalParams,
         res.m_hist_z_idx = np.asarray(m_subset[0])
         res.m_hist_d_idx = np.asarray(m_subset[1])
     return res
-
-
-def _offres_ok(params, broadening, stage):
-    widths = [broadening.optical_width]
-    if broadening.is_gradient:
-        widths.append(abs(broadening.chi) * params.medium_length / 2)
-    else:
-        widths.append(broadening.raman_width)
-    return abs(params.delta0(stage)) > max(params.omega(stage), *widths)
 
 
 def _check_reduced_step(dtau, dt_nodes, params):
@@ -394,60 +403,53 @@ def _full_ensemble(params, broadening, n_nodes, n_optical):
 def _raw_two_photon(params, d_nodes, stage):
     """Raw two-photon detuning that puts the stage's shifted detuning at the
     requested node value: stage 1 at +d, a time-rescaled stage 2 at -eta*d."""
-    if stage == 1:
-        return np.array([stark_shifted_detuning(params, d, 1, inverse=True)
-                         for d in np.atleast_1d(d_nodes)])
-    return np.array([stark_shifted_detuning(params, -params.eta * d, 2,
-                                            inverse=True)
-                     for d in np.atleast_1d(d_nodes)])
+    d = np.atleast_1d(d_nodes)
+    target = d if stage == 1 else -params.eta * d
+    return stark_shifted_detuning(params, target, stage, inverse=True)
 
 
-def _full_march(params, tau, z, Delta1, delta1, weights, input_fn,
-                schedule, stage, sign, r13_0, r12_0, keep_history):
+def _full_step(params, stage, delta1, dtau):
+    """Time step of a full-model run.  The optical coherence turns at up to
+    `fastest` = |delta0 + delta1| + Omega; RK4 resolves that while
+    dtau * fastest <= 0.2, and the default step is 75 % of this limit."""
+    fastest = (np.max(np.abs(params.delta0(stage) + delta1))
+               + params.omega(stage))
+    if dtau is None:
+        return 0.15 / fastest
+    if dtau * fastest > 0.2:
+        raise DomainError(f"time step {dtau:g} too coarse for optical "
+                          f"frequency {fastest:g} (need dtau * fastest "
+                          f"<= 0.2)")
+    return dtau
+
+
+def _full_march(params, tau, z, Delta1, delta1, weights, a_in, schedule,
+                stage, sign, y0):
+    """Full model on the stacked state y = (R13, R12), shape (2, nz, n).
+    a_in is the input field at tau and at the step midpoints.  Returns the
+    final state and the exit field."""
     d0 = params.delta0(stage)
-    lam13 = -(1j * (d0 + delta1) + params.gamma31)       # (nodes,)
-    lam12 = -(1j * Delta1 + params.gamma21)
-    half_beta = 0.5 * params.beta
-    r13 = r13_0.astype(complex).copy()
-    r12 = r12_0.astype(complex).copy()
-    nt, nz = len(tau), len(z)
-    a_exit = np.empty(nt, dtype=complex)
-    a_hist = np.empty((nt, nz), dtype=complex) if keep_history else None
+    lam = np.stack([-(1j * (d0 + delta1) + params.gamma31),
+                    -(1j * Delta1 + params.gamma21)])[:, None, :]
+    ihb = 1j * (0.5 * params.beta)
+    hz = 0.5 * np.diff(z)
+    iw = [1j * np.array([control_value(schedule, t) for t in ts])
+          for ts in (tau, _midpoints(tau))]
+    a_exit = np.empty(len(tau), dtype=complex)
     exit_idx = -1 if sign > 0 else 0
 
-    def field_of(y13, t):
-        s = y13 @ weights
-        if sign > 0:
-            return input_fn(t) + 1j * half_beta * _cumtrapz0(s, z)
-        # backward branch: reversed cumulative integral is -Int_Z^L, so
-        # A(Z) = +i (beta/2) Int_Z^L needs the extra minus
-        tail = _cumtrapz0(s[::-1], z[::-1])[::-1]
-        return -1j * half_beta * tail
+    def deriv(y, u):
+        a = u[0] + ihb * _field_integral(y[0] @ weights, hz, sign)
+        dy = lam * y + u[1] * y[::-1]
+        dy[0] += 1j * a[:, None]
+        return dy, a
 
-    def rhs(y13, y12, t):
-        a = field_of(y13, t)
-        w = control_value(schedule, t)
-        d13 = lam13[None, :] * y13 + 1j * w * y12 + 1j * a[:, None]
-        d12 = lam12[None, :] * y12 + 1j * w * y13
-        return d13, d12
+    def record(i, y, a):
+        a_exit[i] = a[exit_idx]
 
-    dt = tau[1] - tau[0]
-    for it, t in enumerate(tau):
-        a = field_of(r13, t)
-        a_exit[it] = a[exit_idx]
-        if keep_history:
-            a_hist[it] = a
-        if it == nt - 1:
-            break
-        k1a, k1b = rhs(r13, r12, t)
-        k2a, k2b = rhs(r13 + 0.5 * dt * k1a, r12 + 0.5 * dt * k1b,
-                       t + 0.5 * dt)
-        k3a, k3b = rhs(r13 + 0.5 * dt * k2a, r12 + 0.5 * dt * k2b,
-                       t + 0.5 * dt)
-        k4a, k4b = rhs(r13 + dt * k3a, r12 + dt * k3b, t + dt)
-        r13 = r13 + (dt / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        r12 = r12 + (dt / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-    return r13, r12, a_exit, a_hist
+    y = _rk4_march(y0.astype(complex), tau, list(zip(a_in[0], iw[0])),
+                   list(zip(a_in[1], iw[1])), deriv, record)
+    return y, a_exit
 
 
 @dataclass
@@ -460,7 +462,6 @@ class FullStageResult:
     field_out: FieldEnvelope
     r13: np.ndarray
     r12: np.ndarray
-    a_history: np.ndarray | None = None
     energy_in: float = 0.0
     energy_out: float = 0.0
     stored: float = 0.0
@@ -468,28 +469,23 @@ class FullStageResult:
 
 def simulate_storage_full(params: PhysicalParams,
                           broadening: BroadeningSpec,
-                          input_field, *,
+                          input_field: FieldEnvelope, *,
                           t_end: float,
                           dtau: float | None = None,
                           n_nodes: int | None = None,
                           n_optical: int = 1,
                           nz: int = 48,
-                          control_schedule=None,
-                          keep_history: bool = False) -> FullStageResult:
+                          control_schedule=None) -> FullStageResult:
     """Write-stage run of the full three-level model (no adiabatic
-    elimination).  The optical phase rotates at ~delta01, so the default time
-    step resolves it with ~200 points per period."""
+    elimination).  The optical coherence turns at up to
+    fastest = |delta01 + delta1| + Omega1; dtau * fastest may not exceed
+    0.2, and the default step is 0.15 / fastest."""
     if params.beta <= 0:
         raise DomainError("params.beta must be resolved (> 0) before a run")
     Dg, og, wg, d_nodes = _full_ensemble(params, broadening, n_nodes,
                                          n_optical)
     Delta1 = _raw_two_photon(params, Dg, 1)
-    if dtau is None:
-        dtau = 0.03 / abs(params.delta01)
-    fastest = np.max(np.abs(params.delta01 + og)) + params.omega1_rabi
-    if dtau * fastest > 0.2:
-        raise DomainError(f"time step {dtau:g} too coarse for optical "
-                          f"frequency {fastest:g}")
+    dtau = _full_step(params, 1, og, dtau)
     nt = int(round(t_end / dtau)) + 1
     tau = np.linspace(0.0, t_end, nt)
     depth = efficiency.line_center_depth(params, broadening)
@@ -497,20 +493,18 @@ def simulate_storage_full(params: PhysicalParams,
     if control_schedule is None:
         control_schedule = (ControlSegment(0.0, t_end, "constant",
                                            params.omega1_rabi),)
-    input_fn = _input_callable(input_field)
-    shape = (len(z), len(Delta1))
-    r13, r12, a_exit, a_hist = _full_march(
-        params, tau, z, Delta1, og, wg, input_fn, control_schedule, 1, +1,
-        np.zeros(shape, complex), np.zeros(shape, complex), keep_history)
-    e_in = np.array([input_fn(t) for t in tau])
+    a_in = _sample_input(input_field, tau)
+    y, a_exit = _full_march(params, tau, z, Delta1, og, wg, a_in,
+                            control_schedule, 1, +1,
+                            np.zeros((2, len(z), len(Delta1))))
     out = FieldEnvelope(samples=a_exit, axis=tau, z=params.medium_length,
                         direction="forward", kind="time")
     return FullStageResult(
         tau=tau, z=z, Delta1=Delta1, delta1=og, weights=wg, field_out=out,
-        r13=r13, r12=r12, a_history=a_hist,
-        energy_in=float(np.trapezoid(np.abs(e_in) ** 2, tau)),
+        r13=y[0], r12=y[1],
+        energy_in=float(np.trapezoid(np.abs(a_in[0]) ** 2, tau)),
         energy_out=out.energy(),
-        stored=stored_excitation_full(params, z, wg, r13, r12))
+        stored=stored_excitation_full(params, z, wg, y[0], y[1]))
 
 
 def simulate_retrieval_full(params: PhysicalParams,
@@ -521,31 +515,32 @@ def simulate_retrieval_full(params: PhysicalParams,
                             t_end: float,
                             dtau: float | None = None,
                             control_schedule=None,
-                            direction: str = "backward",
-                            keep_history: bool = False) -> FullStageResult:
+                            direction: str = "backward") -> FullStageResult:
     """Read-stage run of the full model from prepared coherence arrays.
-    Delta1_grid must already be the stage-2 raw two-photon detunings."""
+    Delta1_grid must already be the stage-2 raw two-photon detunings.  The
+    step follows the write-stage rule with delta02 and Omega2:
+    dtau * (|delta02 + delta1| + Omega2) <= 0.2, default 0.15 / that rate."""
     if params.beta <= 0:
         raise DomainError("params.beta must be resolved (> 0) before a run")
-    if dtau is None:
-        dtau = 0.03 / abs(params.delta02)
+    dtau = _full_step(params, 2, delta1_grid, dtau)
     nt = int(round(t_end / dtau)) + 1
     tau = np.linspace(0.0, t_end, nt)
     if control_schedule is None:
         control_schedule = (ControlSegment(0.0, t_end, "constant",
                                            params.omega2_rabi),)
     sign = -1 if direction == "backward" else +1
-    r13, r12, a_exit, a_hist = _full_march(
-        params, tau, z, Delta1_grid, delta1_grid, weights, lambda t: 0.0,
-        control_schedule, 2, sign, r13_init, r12_init, keep_history)
+    y, a_exit = _full_march(
+        params, tau, z, Delta1_grid, delta1_grid, weights,
+        _sample_input(None, tau), control_schedule, 2, sign,
+        np.stack([r13_init, r12_init]))
     exit_z = float(z[0] if direction == "backward" else z[-1])
     out = FieldEnvelope(samples=a_exit, axis=tau, z=exit_z,
                         direction=direction, kind="time")
     return FullStageResult(
         tau=tau, z=z, Delta1=Delta1_grid, delta1=delta1_grid, weights=weights,
-        field_out=out, r13=r13, r12=r12, a_history=a_hist,
-        energy_in=0.0, energy_out=out.energy(),
-        stored=stored_excitation_full(params, z, weights, r13, r12))
+        field_out=out, r13=y[0], r12=y[1], energy_in=0.0,
+        energy_out=out.energy(),
+        stored=stored_excitation_full(params, z, weights, y[0], y[1]))
 
 
 def stored_excitation_full(params, z, weights, r13, r12) -> float:

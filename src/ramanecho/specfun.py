@@ -75,7 +75,11 @@ def reciprocal_gamma(z: complex) -> complex:
         return 0.0 + 0.0j
     if z.real < 0.5:
         return cmath.sin(math.pi * z) * complex_gamma(1.0 - z) / math.pi
-    return 1.0 / complex_gamma(z)
+    g = complex_gamma(z)
+    if g == 0:
+        raise DomainError(f"gamma underflows to zero at z = {z}; "
+                          "1/gamma is not representable")
+    return 1.0 / g
 
 
 # ===================== Bessel J, complex order =====================

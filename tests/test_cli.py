@@ -199,6 +199,18 @@ def test_sweep_with_bad_point_exits_two(tmp_path):
     assert len(_read_rows(out)) == 3
 
 
+def test_switch_on_gamma_underflow_is_an_error_row(tmp_path):
+    # k_on = 0.03 puts Im q ~ 667: gamma(1 - q) underflows to zero
+    cfg = _write(tmp_path, "c.cfg", "delta02 = 40\nsweep_axis1 = k_on\n"
+                 "sweep_values1 = 0.03:0.1:3\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["switch-on", "--config", cfg, "--out", out]) == 2
+    rows = _read_rows(out)
+    assert len(rows) == 3
+    assert math.isnan(float(rows[0]["eps_r"])) and rows[0]["error"]
+    assert all(0.0 < float(r["eps_r"]) <= 1.0 for r in rows[1:])
+
+
 def test_missing_axes_exit_one(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "delta01 = 10\n")
     assert main(["switch-off", "--config", cfg]) == 1

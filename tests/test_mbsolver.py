@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from ramanecho.efficiency import (
     complex_line_depth,
@@ -11,6 +12,7 @@ from ramanecho.efficiency import (
 )
 from ramanecho.mbsolver import (
     ControlSegment,
+    _field_integral,
     control_value,
     echo_spectral_solution,
     gaussian_input,
@@ -144,15 +146,37 @@ def test_backward_readout_beats_forward_reabsorption():
 
 # ---------- full model ----------
 
-def test_full_write_energy_bookkeeping():
+@pytest.fixture(scope="module")
+def full_write_case():
     p = PhysicalParams.make(delta01=10.0, optical_depth=2.0, tau0=40.0)
     p = resolve_coupling(p, GAUSS24)
     t = np.linspace(0.0, 40.0, 321)
     env = gaussian_input(20.0, 6.0, t)
-    res = simulate_storage_full(p, GAUSS24, env, t_end=40.0, n_nodes=16,
-                                nz=24)
+
+    def run(dtau=None):
+        return simulate_storage_full(p, GAUSS24, env, t_end=40.0, n_nodes=16,
+                                     nz=24, dtau=dtau)
+    return p, run, run()
+
+
+def test_full_write_energy_bookkeeping(full_write_case):
+    _, _, res = full_write_case
     absorbed = res.energy_in - res.energy_out
     assert res.stored == pytest.approx(absorbed, rel=0.02)
+
+
+def test_full_write_default_step_matches_fine_step(full_write_case):
+    # the default step sits at 75 % of the dtau * fastest <= 0.2 guard;
+    # compare with a step that resolves the optical phase ~200 times a turn
+    p, run, res = full_write_case
+    fine = run(dtau=0.03 / abs(p.delta01))
+    assert len(res.tau) < len(fine.tau) / 4
+    a = res.field_out.samples
+    ref = (np.interp(res.tau, fine.tau, fine.field_out.samples.real)
+           + 1j * np.interp(res.tau, fine.tau, fine.field_out.samples.imag))
+    l2 = np.sqrt(np.trapezoid(np.abs(a - ref) ** 2, res.tau)
+                 / np.trapezoid(np.abs(ref) ** 2, res.tau))
+    assert l2 < 1e-4
 
 
 def test_full_read_energy_theorem():
@@ -177,6 +201,33 @@ def test_full_write_rejects_coarse_step():
     with pytest.raises(DomainError):
         simulate_storage_full(p, GAUSS24, gaussian_input(5.0, 1.0, t),
                               t_end=10.0, dtau=0.1)
+
+
+def test_full_read_rejects_coarse_step():
+    p = PhysicalParams.make(delta01=10.0, beta=10.0)
+    nodes, weights = quadrature_nodes(gaussian_shape(0.05), 4)
+    z = np.linspace(0.0, 1.0, 9)
+    r12 = np.ones((9, 4), complex)
+    with pytest.raises(DomainError):
+        simulate_retrieval_full(p, gaussian_shape(0.05), np.zeros_like(r12),
+                                r12, z, nodes, np.zeros(4), weights,
+                                t_end=1.0, dtau=0.1)
+
+
+# ---------- shared march ----------
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_field_integral_matches_scipy_trapezoid(sign):
+    z = graded_z_grid(1.0, 40.0)
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+    got = _field_integral(s, 0.5 * np.diff(z), sign)
+    if sign > 0:
+        want = cumulative_trapezoid(s, z, initial=0.0)
+    else:
+        # Int_Z^L: the reversed cumulative integral runs over negative steps
+        want = -cumulative_trapezoid(s[::-1], z[::-1], initial=0.0)[::-1]
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------- closed-form spectral echo ----------
