@@ -1,7 +1,7 @@
 """Off-resonant Raman photon-echo memory toolkit.
 
 Layout:
-    params      parameter records, line shapes, grids, config parsing
+    params      parameter records, line shapes, envelopes, config parsing
     specfun     complex-order Bessel / complex gamma machinery
     switching   closed-form control switch-off / switch-on transients
     mbsolver    full and reduced propagation solvers, storage/retrieval runs

@@ -16,14 +16,12 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import efficiency, mbsolver, strcheck, switching
-from .params import (BroadeningSpec, ConfigError, DomainError, PhysicalParams,
-                     broadening_from_config, load_config, params_from_config)
+from .params import (BROADENING_KEYS, BroadeningSpec, ConfigError,
+                     DomainError, PhysicalParams, broadening_from_config,
+                     load_config, params_from_config)
 
 OBSERVABLES = ("remnant_r13", "eps_t", "eps_r", "gamma_factor",
                "overall_eff", "fidelity")
-
-_BROADENING_FIELDS = ("raman_kind", "raman_width", "optical_kind",
-                      "optical_width", "rule", "n_default", "cutoff")
 
 _CLI_KEY_PREFIXES = ("sweep_", "pipeline_")
 _CLI_KEYS = ("observable",)
@@ -109,7 +107,10 @@ def parse_axis_values(text: str) -> np.ndarray:
         if len(bits) not in (3, 4):
             raise ConfigError(f"range spec needs start:stop:n[:log|lin], "
                               f"got {text!r}")
-        start, stop, n = float(bits[0]), float(bits[1]), int(bits[2])
+        try:
+            start, stop, n = float(bits[0]), float(bits[1]), int(bits[2])
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse range {text!r}") from exc
         mode = bits[3] if len(bits) == 4 else "lin"
         if n < 1:
             raise ConfigError("range spec needs n >= 1")
@@ -163,7 +164,12 @@ def sweep_from_options(options: dict, default_observable="eps_t") -> SweepSpec:
 
 
 def _apply_axis(params, broadening, name, value):
-    if name in _BROADENING_FIELDS:
+    if name in BROADENING_KEYS:
+        if BROADENING_KEYS[name] is int:
+            if not value.is_integer():
+                raise ConfigError(f"axis {name!r} takes integers, got "
+                                  f"{value!r}")
+            value = int(value)
         return params, broadening.replace(**{name: value})
     try:
         return params.replace(**{name: value}), broadening
@@ -185,17 +191,18 @@ def _pipeline_kwargs(options: dict) -> dict:
 
 # ===================== observables =====================
 
-def _default_initial(params):
+def _switch_off_final(params):
+    """Line-centre coherence pair before the write control ramps down and
+    its amplitudes after."""
     shift = params.omega1_rabi ** 2 / params.delta01
-    return switching.init_coherence_after_storage(params, 0.0, shift, 1.0)
+    init = switching.init_coherence_after_storage(params, 0.0, shift, 1.0)
+    return init, switching.switch_off_asymptotic(params, init, 0.0, shift)
 
 
 def evaluate_observable(name: str, params: PhysicalParams,
                         broadening: BroadeningSpec, options: dict) -> float:
     if name == "remnant_r13":
-        init = _default_initial(params)
-        shift = params.omega1_rabi ** 2 / params.delta01
-        fin = switching.switch_off_asymptotic(params, init, 0.0, shift)
+        init, fin = _switch_off_final(params)
         return abs(fin.r13) ** 2 / init.norm_sq
     if name == "eps_t":
         return switching.transfer_efficiency(params)
@@ -339,16 +346,14 @@ def cmd_str_check(args) -> int:
 
 # ===================== figure data sets =====================
 
-def _figure_switch_off(observable):
+def _figure_switch_off():
     rows = []
     for d0 in (3.0, 5.0, 10.0, 20.0):
         for k in np.geomspace(0.05, 50.0, 60):
             p = PhysicalParams.make(delta01=d0, k_off=k)
             row = {"delta0_over_omega": d0, "k_over_omega": k,
                    "k_over_delta0": k / d0, "error": ""}
-            init = _default_initial(p)
-            shift = p.omega1_rabi ** 2 / p.delta01
-            fin = switching.switch_off_asymptotic(p, init, 0.0, shift)
+            init, fin = _switch_off_final(p)
             row["eps_t"] = abs(fin.r12) ** 2 / init.norm_sq
             row["remnant_r13"] = abs(fin.r13) ** 2 / init.norm_sq
             rows.append(row)
@@ -412,13 +417,14 @@ def _figure_pipeline_waveforms():
     return rows, ["eta", "trace", "tau", "abs_e", "error"]
 
 
+# figures 2 and 3 plot columns of one data set, and so do 4 and 5
 _FIGURES = {
-    2: lambda: _figure_switch_off("remnant_r13"),
-    3: lambda: _figure_switch_off("eps_t"),
-    4: lambda: _figure_switch_on(),
-    5: lambda: _figure_switch_on(),
-    6: lambda: _figure_efficiency_map(),
-    7: lambda: _figure_pipeline_waveforms(),
+    2: _figure_switch_off,
+    3: _figure_switch_off,
+    4: _figure_switch_on,
+    5: _figure_switch_on,
+    6: _figure_efficiency_map,
+    7: _figure_pipeline_waveforms,
 }
 
 

@@ -24,7 +24,7 @@ longitudinal-gradient variants:
     gradient    alpha = -i beta r^2 / (chi (z - L/2) - nu - i gamma_eff)
 
 The scaling of gamma_eff's optical part by r^2 keeps the expression
-dimensionally coherent; pass gamma_mode="bare" for the unscaled variant.
+dimensionally coherent.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ __all__ = [
     "complex_line_depth",
     "line_center_depth",
     "resolve_coupling",
-    "depth_from_beta",
     "dephasing_factor",
     "echo_time",
     "eps_tilde",
@@ -55,25 +54,19 @@ __all__ = [
 ]
 
 
-def effective_linewidth(params: PhysicalParams, stage: int = 1,
-                        gamma_mode: str = "scaled") -> float:
+def effective_linewidth(params: PhysicalParams, stage: int = 1) -> float:
     r = params.omega(stage) / params.delta0(stage)
-    if gamma_mode == "scaled":
-        return params.gamma21 + params.gamma31 * r * r
-    if gamma_mode == "bare":
-        return params.gamma21 + params.gamma31
-    raise DomainError(f"gamma_mode must be 'scaled' or 'bare', got "
-                      f"{gamma_mode!r}")
+    return params.gamma21 + params.gamma31 * r * r
 
 
 def complex_absorption(params: PhysicalParams, broadening: BroadeningSpec,
-                       nu: float, z: float = 0.0, stage: int = 1,
-                       gamma_mode: str = "scaled") -> complex:
+                       nu: float, z: float = 0.0,
+                       stage: int = 1) -> complex:
     """Complex absorption coefficient of the reduced model at detuning nu
     from the two-photon line (per unit length; real part absorbs)."""
     r = params.omega(stage) / params.delta0(stage)
     bpre = params.beta * r * r
-    g = effective_linewidth(params, stage, gamma_mode)
+    g = effective_linewidth(params, stage)
     kind = broadening.raman_kind
     if kind == LORENTZIAN:
         w = broadening.raman_width
@@ -98,17 +91,16 @@ def complex_absorption(params: PhysicalParams, broadening: BroadeningSpec,
 
 
 def complex_line_depth(params: PhysicalParams, broadening: BroadeningSpec,
-                       nu: float, stage: int = 1,
-                       gamma_mode: str = "scaled") -> complex:
+                       nu: float, stage: int = 1) -> complex:
     """Absorption coefficient integrated along the medium.  Spectral shapes
     are z-independent; the gradient variant has the closed-form log."""
     length = params.medium_length
     if broadening.raman_kind != GRADIENT:
-        return complex_absorption(params, broadening, nu, 0.0, stage,
-                                  gamma_mode) * length
+        return complex_absorption(params, broadening, nu, 0.0,
+                                  stage) * length
     r = params.omega(stage) / params.delta0(stage)
     bpre = params.beta * r * r
-    g = effective_linewidth(params, stage, gamma_mode) + 1e-300
+    g = effective_linewidth(params, stage) + 1e-300
     chi = broadening.chi
     hi = complex(chi * length / 2.0 - nu, -g)
     lo = complex(-chi * length / 2.0 - nu, -g)
@@ -131,13 +123,6 @@ def resolve_coupling(params: PhysicalParams,
     if base <= 0:
         raise DomainError("degenerate line shape: zero depth at unit coupling")
     return params.replace(beta=params.optical_depth / base)
-
-
-def depth_from_beta(params: PhysicalParams,
-                    broadening: BroadeningSpec) -> float:
-    if params.beta <= 0:
-        raise DomainError("params.beta is not resolved")
-    return line_center_depth(params, broadening)
 
 
 # ===================== factor functions =====================
@@ -192,21 +177,23 @@ class EfficiencyBreakdown:
                    * depth_factor)
 
 
-def _switch_factors(params: PhysicalParams):
+def _budget_factors(params: PhysicalParams, broadening: BroadeningSpec):
+    """eps_t, eps_r, the dephasing AMPLITUDE factor and the storage decay:
+    every factor of the budget but the depth factor."""
     shift = params.omega1_rabi ** 2 / params.delta01
     eps_t = switching.transfer_efficiency(params, 0.0, shift)
     eps_r = switching.switch_on_efficiency(params)
-    return eps_t, eps_r
+    gam = dephasing_factor(params, broadening)
+    decay = math.exp(-2.0 * params.gamma21
+                     * echo_time(params.eta, params.tau_echo)) \
+        if params.gamma21 > 0 else 1.0
+    return eps_t, eps_r, gam, decay
 
 
 def eps_tilde(params: PhysicalParams, broadening: BroadeningSpec) -> float:
     """Switching + decay part of the budget (everything but the depth
     factor); this is the prefactor of the closed-form spectral echo."""
-    eps_t, eps_r = _switch_factors(params)
-    gam = dephasing_factor(params, broadening)
-    decay = math.exp(-2.0 * params.gamma21
-                     * echo_time(params.eta, params.tau_echo)) \
-        if params.gamma21 > 0 else 1.0
+    eps_t, eps_r, gam, decay = _budget_factors(params, broadening)
     return eps_t * eps_r * gam * gam * decay
 
 
@@ -214,11 +201,7 @@ def overall_efficiency(params: PhysicalParams,
                        broadening: BroadeningSpec) -> EfficiencyBreakdown:
     """Full factorised budget.  beta may be unresolved; the depth factor then
     uses params.optical_depth directly."""
-    eps_t, eps_r = _switch_factors(params)
-    gam = dephasing_factor(params, broadening)
-    decay = math.exp(-2.0 * params.gamma21
-                     * echo_time(params.eta, params.tau_echo)) \
-        if params.gamma21 > 0 else 1.0
+    eps_t, eps_r, gam, decay = _budget_factors(params, broadening)
     if params.beta > 0:
         depth = line_center_depth(params, broadening)
     else:

@@ -24,21 +24,19 @@ read stage sees each node at -eta*d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import efficiency, switching
 from .params import (BroadeningSpec, DomainError, FieldEnvelope,
-                     PhysicalParams, SimulationGrid, is_off_resonant,
+                     PhysicalParams, is_off_resonant,
                      quadrature_nodes, stark_shifted_detuning)
 
 __all__ = [
     "ControlSegment",
-    "PropagationProblem",
     "StageResult",
     "PipelineResult",
-    "spectral_ensemble",
     "graded_z_grid",
     "gaussian_input",
     "simulate_storage_reduced",
@@ -48,8 +46,7 @@ __all__ = [
     "echo_spectral_solution",
     "stage_handoff_multipliers",
     "run_pipeline",
-    "stored_excitation_reduced",
-    "stored_excitation_full",
+    "stored_excitation",
 ]
 
 
@@ -115,29 +112,7 @@ def read_schedule(params: PhysicalParams, t_on: float, t_end: float):
     return tuple(segs)
 
 
-# ===================== problem / result records =====================
-
-@dataclass(frozen=True)
-class PropagationProblem:
-    """Bundle of everything one stage run needs."""
-
-    params: PhysicalParams
-    broadening: BroadeningSpec
-    grid: SimulationGrid
-    input_field: FieldEnvelope | None = None
-    stage: int = 1
-    model: str = "reduced"              # "reduced" | "full"
-    direction: str = "forward"
-    control_schedule: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.stage not in (1, 2):
-            raise DomainError("stage must be 1 or 2")
-        if self.model not in ("reduced", "full"):
-            raise DomainError("model must be 'reduced' or 'full'")
-        if self.direction not in ("forward", "backward"):
-            raise DomainError("direction must be forward/backward")
-
+# ===================== result records =====================
 
 @dataclass
 class StageResult:
@@ -163,27 +138,41 @@ class StageResult:
         return float(self.tau[1] - self.tau[0])
 
 
+@dataclass
+class FullStageResult:
+    tau: np.ndarray
+    z: np.ndarray
+    Delta1: np.ndarray
+    delta1: np.ndarray
+    weights: np.ndarray
+    field_out: FieldEnvelope
+    r13: np.ndarray
+    r12: np.ndarray
+    energy_in: float = 0.0
+    energy_out: float = 0.0
+    stored: float = 0.0
+
+
 # ===================== grids & inputs =====================
 
-def spectral_ensemble(params: PhysicalParams, broadening: BroadeningSpec,
-                      n_nodes: int | None = None):
-    """Two-photon node/weight sets in the stage-1 shifted-detuning variable."""
-    return quadrature_nodes(broadening, n_nodes, line="raman")
+# The graded grid's spacing grows by this factor per cell, up to this
+# fraction of the medium length.
+_Z_GROWTH = 1.15
+_Z_MAX_FRAC = 1.0 / 40.0
 
 
-def graded_z_grid(length: float, depth: float, n_uniform: int = 48,
-                  growth: float = 1.15, max_frac: float = 1.0 / 40.0):
+def graded_z_grid(length: float, depth: float, n_uniform: int = 48):
     """Spatial grid refined toward the entrance face when the medium is
     optically thick; uniform otherwise.  First spacing ~ 1/(8*depth)
-    absorption lengths, growing geometrically to length*max_frac."""
+    absorption lengths, growing geometrically to length/40."""
     if depth <= 8.0:
         return np.linspace(0.0, length, n_uniform + 1)
     dz = length / (8.0 * depth)
-    dz_max = length * max_frac
+    dz_max = length * _Z_MAX_FRAC
     pts = [0.0]
     while pts[-1] < length:
         pts.append(pts[-1] + dz)
-        dz = min(dz * growth, dz_max)
+        dz = min(dz * _Z_GROWTH, dz_max)
     pts[-1] = length
     if pts[-1] - pts[-2] < 0.25 * dz_max:
         del pts[-2]
@@ -213,7 +202,22 @@ def _sample_input(env: FieldEnvelope | None, tau: np.ndarray):
                  for t in (tau, _midpoints(tau)))
 
 
-# ===================== shared stage march =====================
+# ===================== shared stage set-up and march =====================
+
+def _stage_tau(params, t_end, dtau):
+    """Uniform time grid of one stage run; every run needs beta resolved."""
+    if params.beta <= 0:
+        raise DomainError("params.beta must be resolved (> 0) before a run; "
+                          "see efficiency.resolve_coupling")
+    return np.linspace(0.0, t_end, int(round(t_end / dtau)) + 1)
+
+
+def _exit_field(samples, tau, z, exit_idx, direction):
+    """Envelope of the field leaving the medium at z[exit_idx]: Z = L for
+    a forward stage, Z = 0 for a backward one."""
+    return FieldEnvelope(samples=samples, axis=tau, z=float(z[exit_idx]),
+                         direction=direction, kind="time")
+
 
 def _field_integral(s: np.ndarray, hz: np.ndarray, sign: int) -> np.ndarray:
     """Trapezoid integral of s over the medium the field has already
@@ -253,13 +257,22 @@ def _rk4_march(y, tau, drive, drive_mid, deriv, record):
     return y
 
 
+def stored_excitation(params, z, weights, *coherences) -> float:
+    """(beta/2) integral over Z of the weighted node sum of the summed
+    |coherence|^2: the spin M alone in the reduced model, R13 and R12 in
+    the full one."""
+    dens = sum(np.abs(c) ** 2 for c in coherences) @ weights
+    return float(0.5 * params.beta * np.trapezoid(dens, z))
+
+
 # ===================== reduced solver =====================
 
-def _reduced_march(params, tau, z, d_nodes, weights, e_in, stage, sign,
-                   m_init, m_subset):
+def _reduced_stage(params, tau, z, d_nodes, weights, e_in, stage, direction,
+                   m_init, m_subset) -> StageResult:
     """Reduced model: the field is algebraic in M, so the marching state is
     just the (nz, nd) spin array.  e_in is the input field at tau and at
     the step midpoints."""
+    sign, exit_idx = (-1, 0) if direction == "backward" else (+1, -1)
     r = params.omega(stage) / params.delta0(stage)
     ir = 1j * r
     ic = 1j * (0.5 * params.beta * r)
@@ -287,7 +300,19 @@ def _reduced_march(params, tau, z, d_nodes, weights, e_in, stage, sign,
 
     m = _rk4_march(m_init.astype(complex), tau, e_in[0], e_in[1], deriv,
                    record)
-    return m, e_hist, s_hist, m_hist
+    out = _exit_field(e_hist[:, exit_idx], tau, z, exit_idx, direction)
+    res = StageResult(tau=tau, z=z, d_nodes=d_nodes, weights=weights,
+                      field_out=out, m_final=m, e_history=e_hist,
+                      s_history=s_hist,
+                      energy_in=float(np.trapezoid(np.abs(e_in[0]) ** 2,
+                                                   tau)),
+                      energy_out=out.energy(),
+                      stored=stored_excitation(params, z, weights, m))
+    if m_subset is not None:
+        res.m_history = m_hist
+        res.m_hist_z_idx = np.asarray(m_subset[0])
+        res.m_hist_d_idx = np.asarray(m_subset[1])
+    return res
 
 
 def simulate_storage_reduced(params: PhysicalParams,
@@ -302,31 +327,20 @@ def simulate_storage_reduced(params: PhysicalParams,
 
     Returns the transmitted field at Z = L, the final spin array and the
     field / collective-spin histories."""
-    if params.beta <= 0:
-        raise DomainError("params.beta must be resolved (> 0) before a run; "
-                          "see efficiency.resolve_coupling")
+    if t_end is None:
+        t_end = params.tau0 if params.tau0 > 0 else float(input_field.axis[-1])
+    tau = _stage_tau(params, t_end, dtau)
     if not is_off_resonant(params, broadening, stage=1):
         raise DomainError("reduced model outside its validity range: "
                           "|delta01| must exceed the Rabi frequency and "
                           "broadening widths")
-    if t_end is None:
-        t_end = params.tau0 if params.tau0 > 0 else float(input_field.axis[-1])
-    d_nodes, weights = spectral_ensemble(params, broadening, n_nodes)
+    d_nodes, weights = quadrature_nodes(broadening, n_nodes, line="raman")
     _check_reduced_step(dtau, d_nodes, params)
-    nt = int(round(t_end / dtau)) + 1
-    tau = np.linspace(0.0, t_end, nt)
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
-    e_in = _sample_input(input_field, tau)
-    m0 = np.zeros((len(z), len(d_nodes)), dtype=complex)
-    m, e_hist, s_hist, m_hist = _reduced_march(
-        params, tau, z, d_nodes, weights, e_in, 1, +1, m0, m_subset)
-    out = FieldEnvelope(samples=e_hist[:, -1], axis=tau,
-                        z=params.medium_length, direction="forward",
-                        kind="time")
-    return _stage_result(
-        params, tau, z, d_nodes, weights, out, m, e_hist, s_hist, m_hist,
-        m_subset, energy_in=float(np.trapezoid(np.abs(e_in[0]) ** 2, tau)))
+    return _reduced_stage(params, tau, z, d_nodes, weights,
+                          _sample_input(input_field, tau), 1, "forward",
+                          np.zeros((len(z), len(d_nodes))), m_subset)
 
 
 def simulate_retrieval_reduced(params: PhysicalParams,
@@ -345,35 +359,11 @@ def simulate_retrieval_reduced(params: PhysicalParams,
     -eta*d.  direction='backward' (the echo direction) integrates the field
     from Z = L toward 0; 'forward' keeps the write-stage geometry to expose
     the reabsorption penalty."""
-    if params.beta <= 0:
-        raise DomainError("params.beta must be resolved (> 0) before a run")
+    tau = _stage_tau(params, t_end, dtau)
     _check_reduced_step(dtau, params.eta * d_nodes, params)
-    nt = int(round(t_end / dtau)) + 1
-    tau = np.linspace(0.0, t_end, nt)
-    sign = -1 if direction == "backward" else +1
-    m, e_hist, s_hist, m_hist = _reduced_march(
-        params, tau, z, d_nodes, weights, _sample_input(None, tau), 2, sign,
-        m_initial, m_subset)
-    exit_idx = 0 if direction == "backward" else -1
-    out = FieldEnvelope(samples=e_hist[:, exit_idx], axis=tau,
-                        z=float(z[exit_idx]), direction=direction,
-                        kind="time")
-    return _stage_result(params, tau, z, d_nodes, weights, out, m, e_hist,
-                         s_hist, m_hist, m_subset, energy_in=0.0)
-
-
-def _stage_result(params, tau, z, d_nodes, weights, out, m, e_hist, s_hist,
-                  m_hist, m_subset, energy_in):
-    res = StageResult(tau=tau, z=z, d_nodes=d_nodes, weights=weights,
-                      field_out=out, m_final=m, e_history=e_hist,
-                      s_history=s_hist, energy_in=energy_in,
-                      energy_out=out.energy(),
-                      stored=stored_excitation_reduced(params, z, weights, m))
-    if m_subset is not None:
-        res.m_history = m_hist
-        res.m_hist_z_idx = np.asarray(m_subset[0])
-        res.m_hist_d_idx = np.asarray(m_subset[1])
-    return res
+    return _reduced_stage(params, tau, z, d_nodes, weights,
+                          _sample_input(None, tau), 2, direction, m_initial,
+                          m_subset)
 
 
 def _check_reduced_step(dtau, dt_nodes, params):
@@ -382,12 +372,6 @@ def _check_reduced_step(dtau, dt_nodes, params):
         raise DomainError(
             f"time step {dtau:g} too coarse for detuning span "
             f"{fastest:g} (need dtau * span <= 0.5)")
-
-
-def stored_excitation_reduced(params, z, weights, m) -> float:
-    """(beta/2) integral over Z of the weighted node sum of |M|^2."""
-    dens = (np.abs(m) ** 2) @ weights
-    return float(0.5 * params.beta * np.trapezoid(dens, z))
 
 
 # ===================== full solver =====================
@@ -423,11 +407,15 @@ def _full_step(params, stage, delta1, dtau):
     return dtau
 
 
-def _full_march(params, tau, z, Delta1, delta1, weights, a_in, schedule,
-                stage, sign, y0):
+def _full_stage(params, tau, z, Delta1, delta1, weights, a_in, schedule,
+                stage, direction, y0) -> FullStageResult:
     """Full model on the stacked state y = (R13, R12), shape (2, nz, n).
-    a_in is the input field at tau and at the step midpoints.  Returns the
-    final state and the exit field."""
+    a_in is the input field at tau and at the step midpoints; without a
+    schedule the stage's control stays at its constant level."""
+    sign, exit_idx = (-1, 0) if direction == "backward" else (+1, -1)
+    if schedule is None:
+        schedule = (ControlSegment(0.0, tau[-1], "constant",
+                                   params.omega(stage)),)
     d0 = params.delta0(stage)
     lam = np.stack([-(1j * (d0 + delta1) + params.gamma31),
                     -(1j * Delta1 + params.gamma21)])[:, None, :]
@@ -436,7 +424,6 @@ def _full_march(params, tau, z, Delta1, delta1, weights, a_in, schedule,
     iw = [1j * np.array([control_value(schedule, t) for t in ts])
           for ts in (tau, _midpoints(tau))]
     a_exit = np.empty(len(tau), dtype=complex)
-    exit_idx = -1 if sign > 0 else 0
 
     def deriv(y, u):
         a = u[0] + ihb * _field_integral(y[0] @ weights, hz, sign)
@@ -449,22 +436,13 @@ def _full_march(params, tau, z, Delta1, delta1, weights, a_in, schedule,
 
     y = _rk4_march(y0.astype(complex), tau, list(zip(a_in[0], iw[0])),
                    list(zip(a_in[1], iw[1])), deriv, record)
-    return y, a_exit
-
-
-@dataclass
-class FullStageResult:
-    tau: np.ndarray
-    z: np.ndarray
-    Delta1: np.ndarray
-    delta1: np.ndarray
-    weights: np.ndarray
-    field_out: FieldEnvelope
-    r13: np.ndarray
-    r12: np.ndarray
-    energy_in: float = 0.0
-    energy_out: float = 0.0
-    stored: float = 0.0
+    out = _exit_field(a_exit, tau, z, exit_idx, direction)
+    return FullStageResult(
+        tau=tau, z=z, Delta1=Delta1, delta1=delta1, weights=weights,
+        field_out=out, r13=y[0], r12=y[1],
+        energy_in=float(np.trapezoid(np.abs(a_in[0]) ** 2, tau)),
+        energy_out=out.energy(),
+        stored=stored_excitation(params, z, weights, y[0], y[1]))
 
 
 def simulate_storage_full(params: PhysicalParams,
@@ -480,31 +458,15 @@ def simulate_storage_full(params: PhysicalParams,
     elimination).  The optical coherence turns at up to
     fastest = |delta01 + delta1| + Omega1; dtau * fastest may not exceed
     0.2, and the default step is 0.15 / fastest."""
-    if params.beta <= 0:
-        raise DomainError("params.beta must be resolved (> 0) before a run")
     Dg, og, wg, d_nodes = _full_ensemble(params, broadening, n_nodes,
                                          n_optical)
     Delta1 = _raw_two_photon(params, Dg, 1)
-    dtau = _full_step(params, 1, og, dtau)
-    nt = int(round(t_end / dtau)) + 1
-    tau = np.linspace(0.0, t_end, nt)
+    tau = _stage_tau(params, t_end, _full_step(params, 1, og, dtau))
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
-    if control_schedule is None:
-        control_schedule = (ControlSegment(0.0, t_end, "constant",
-                                           params.omega1_rabi),)
-    a_in = _sample_input(input_field, tau)
-    y, a_exit = _full_march(params, tau, z, Delta1, og, wg, a_in,
-                            control_schedule, 1, +1,
-                            np.zeros((2, len(z), len(Delta1))))
-    out = FieldEnvelope(samples=a_exit, axis=tau, z=params.medium_length,
-                        direction="forward", kind="time")
-    return FullStageResult(
-        tau=tau, z=z, Delta1=Delta1, delta1=og, weights=wg, field_out=out,
-        r13=y[0], r12=y[1],
-        energy_in=float(np.trapezoid(np.abs(a_in[0]) ** 2, tau)),
-        energy_out=out.energy(),
-        stored=stored_excitation_full(params, z, wg, y[0], y[1]))
+    return _full_stage(params, tau, z, Delta1, og, wg,
+                       _sample_input(input_field, tau), control_schedule, 1,
+                       "forward", np.zeros((2, len(z), len(Delta1))))
 
 
 def simulate_retrieval_full(params: PhysicalParams,
@@ -520,32 +482,10 @@ def simulate_retrieval_full(params: PhysicalParams,
     Delta1_grid must already be the stage-2 raw two-photon detunings.  The
     step follows the write-stage rule with delta02 and Omega2:
     dtau * (|delta02 + delta1| + Omega2) <= 0.2, default 0.15 / that rate."""
-    if params.beta <= 0:
-        raise DomainError("params.beta must be resolved (> 0) before a run")
-    dtau = _full_step(params, 2, delta1_grid, dtau)
-    nt = int(round(t_end / dtau)) + 1
-    tau = np.linspace(0.0, t_end, nt)
-    if control_schedule is None:
-        control_schedule = (ControlSegment(0.0, t_end, "constant",
-                                           params.omega2_rabi),)
-    sign = -1 if direction == "backward" else +1
-    y, a_exit = _full_march(
-        params, tau, z, Delta1_grid, delta1_grid, weights,
-        _sample_input(None, tau), control_schedule, 2, sign,
-        np.stack([r13_init, r12_init]))
-    exit_z = float(z[0] if direction == "backward" else z[-1])
-    out = FieldEnvelope(samples=a_exit, axis=tau, z=exit_z,
-                        direction=direction, kind="time")
-    return FullStageResult(
-        tau=tau, z=z, Delta1=Delta1_grid, delta1=delta1_grid, weights=weights,
-        field_out=out, r13=y[0], r12=y[1], energy_in=0.0,
-        energy_out=out.energy(),
-        stored=stored_excitation_full(params, z, weights, y[0], y[1]))
-
-
-def stored_excitation_full(params, z, weights, r13, r12) -> float:
-    dens = (np.abs(r13) ** 2 + np.abs(r12) ** 2) @ weights
-    return float(0.5 * params.beta * np.trapezoid(dens, z))
+    tau = _stage_tau(params, t_end, _full_step(params, 2, delta1_grid, dtau))
+    return _full_stage(params, tau, z, Delta1_grid, delta1_grid, weights,
+                       _sample_input(None, tau), control_schedule, 2,
+                       direction, np.stack([r13_init, r12_init]))
 
 
 # ===================== closed-form spectral echo =====================
@@ -608,17 +548,9 @@ def stage_handoff_multipliers(params: PhysicalParams, d_nodes: np.ndarray):
     return mult
 
 
-def background_phase_mismatch(params: PhysicalParams,
-                              z: np.ndarray) -> np.ndarray:
-    """Refractive-background phase ramp between the write-stage and
-    read-stage frames, exp(i beta Z (1/delta01 + 1/delta02) / 2).
-
-    The model treats this as compensated (the phase-matching assumption
-    baked into the staged reduced equations); the pipeline therefore does
-    NOT apply it.  It is exposed so the penalty of an uncompensated
-    background can be studied deliberately."""
-    return np.exp(1j * 0.5 * params.beta * z
-                  * (1.0 / params.delta01 + 1.0 / params.delta02))
+# The read window runs this many input widths (sigma_t, compressed by eta)
+# past the image of the input's time origin.
+_RETRIEVAL_MARGIN = 12.0
 
 
 @dataclass
@@ -641,7 +573,6 @@ def run_pipeline(params: PhysicalParams, broadening: BroadeningSpec, *,
                  t_peak: float = 35.0, sigma_t: float = 10.0,
                  dtau: float = 0.125, n_nodes: int | None = None,
                  nz: int = 48, direction: str = "backward",
-                 retrieval_margin: float = 12.0,
                  m_subset=None) -> PipelineResult:
     """Full storage -> switch maps -> read-out chain on the reduced model.
 
@@ -662,7 +593,7 @@ def run_pipeline(params: PhysicalParams, broadening: BroadeningSpec, *,
     mult = stage_handoff_multipliers(p, storage.d_nodes)
     m2 = storage.m_final * mult[None, :]
     eta = p.eta
-    t_end2 = (p.tau0 + p.tau_st) / eta + retrieval_margin * sigma_t / eta \
+    t_end2 = (p.tau0 + p.tau_st) / eta + _RETRIEVAL_MARGIN * sigma_t / eta \
         + 8.0 * dtau
     dtau2 = dtau / eta if eta > 1 else dtau
     retrieval = simulate_retrieval_reduced(

@@ -1,4 +1,5 @@
-"""Physical parameter records, line-shape descriptors and shared grids.
+"""Physical parameter records, line-shape descriptors, field envelopes and
+flat configuration parsing.
 
 Everything downstream (switch dynamics, propagation solvers, efficiency
 model, CLI) consumes the types defined here.  Internal unit system: the
@@ -13,16 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PhysicalParams",
     "BroadeningSpec",
-    "SimulationGrid",
+    "BROADENING_KEYS",
     "FieldEnvelope",
-    "AtomicState",
     "DomainError",
     "ConfigError",
     "stark_shifted_detuning",
@@ -90,6 +90,10 @@ class PhysicalParams:
     optical_depth: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got "
+                                  f"{getattr(self, f.name)}")
         for name in ("gamma21", "gamma31", "beta", "tau_st",
                      "optical_depth"):
             if getattr(self, name) < 0:
@@ -187,10 +191,17 @@ class BroadeningSpec:
             raise ConfigError(f"unknown optical_kind {self.optical_kind!r}")
         if self.rule not in ("gauss", "uniform"):
             raise ConfigError(f"unknown quadrature rule {self.rule!r}")
+        for name in ("raman_width", "optical_width", "cutoff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if self.raman_kind != GRADIENT and self.raman_width < 0:
             raise ConfigError("raman_width must be nonnegative")
         if self.optical_width < 0:
             raise ConfigError("optical_width must be nonnegative")
+        if not isinstance(self.n_default, (int, np.integer)):
+            raise ConfigError(f"n_default must be an integer, got "
+                              f"{self.n_default!r}")
         if self.n_default < 1:
             raise ConfigError("n_default must be >= 1")
 
@@ -323,40 +334,7 @@ def is_off_resonant(params: PhysicalParams, broadening: BroadeningSpec,
     return abs(params.delta0(stage)) > max(params.omega(stage), *widths)
 
 
-# ===================== grids, fields, atomic state =====================
-
-@dataclass(frozen=True)
-class SimulationGrid:
-    """Shared discretisation: time, space, Fourier frequency and the
-    spectral node lists actually used by a run."""
-
-    tau_samples: np.ndarray
-    z_samples: np.ndarray
-    nu_samples: np.ndarray = field(default_factory=lambda: np.array([]))
-    delta1_nodes: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    Delta1_nodes: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-
-    def __post_init__(self) -> None:
-        for name in ("tau_samples", "z_samples"):
-            ax = getattr(self, name)
-            if len(ax) >= 2 and not np.all(np.diff(ax) > 0):
-                raise DomainError(f"{name} must be strictly increasing")
-        if len(self.nu_samples) >= 2 and not np.all(np.diff(self.nu_samples) > 0):
-            raise DomainError("nu_samples must be strictly increasing")
-
-    @property
-    def dtau(self) -> float:
-        return float(self.tau_samples[1] - self.tau_samples[0])
-
-    def check_nyquist(self, input_bandwidth: float) -> None:
-        """Frequency axis must span at least 4x the input bandwidth."""
-        if len(self.nu_samples) == 0:
-            return
-        span = self.nu_samples[-1] - self.nu_samples[0]
-        if span < 4.0 * input_bandwidth:
-            raise DomainError(
-                f"nu range {span:g} < 4x input bandwidth {input_bandwidth:g}")
-
+# ===================== field envelopes =====================
 
 @dataclass(frozen=True)
 class FieldEnvelope:
@@ -384,26 +362,11 @@ class FieldEnvelope:
         return dataclasses.replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class AtomicState:
-    """Coherence arrays over (z, two-photon node, optical node)."""
-
-    r12: np.ndarray
-    r13: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.r12.shape != self.r13.shape:
-            raise DomainError("r12/r13 shape mismatch")
-
-    def norm_per_node(self) -> np.ndarray:
-        return np.abs(self.r12) ** 2 + np.abs(self.r13) ** 2
-
-
 # ===================== flat key=value configuration =====================
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(PhysicalParams)}
-_BROADENING_KEYS = {
+# BroadeningSpec's configuration keys and the types their values take
+BROADENING_KEYS = {
     "raman_kind": str, "raman_width": float,
     "optical_kind": str, "optical_width": float,
     "rule": str, "n_default": int, "cutoff": float,
@@ -442,7 +405,7 @@ def params_from_config(cfg: dict, **overrides) -> PhysicalParams:
     for key, raw in cfg.items():
         if key in _PARAM_FIELDS:
             kw[key] = _coerce(key, raw, float) if isinstance(raw, str) else raw
-        elif key not in _BROADENING_KEYS:
+        elif key not in BROADENING_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
     kw.update(overrides)
     return PhysicalParams.make(**kw)
@@ -451,8 +414,8 @@ def params_from_config(cfg: dict, **overrides) -> PhysicalParams:
 def broadening_from_config(cfg: dict, **overrides) -> BroadeningSpec:
     kw = {}
     for key, raw in cfg.items():
-        if key in _BROADENING_KEYS:
-            typ = _BROADENING_KEYS[key]
+        if key in BROADENING_KEYS:
+            typ = BROADENING_KEYS[key]
             kw[key] = _coerce(key, raw, typ) if isinstance(raw, str) else raw
         elif key not in _PARAM_FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}")

@@ -263,13 +263,6 @@ def switch_on_coefficients(params: PhysicalParams) -> SwitchOnCoefficients:
                                 c13=pref * bessel_j(1.0 - q, x_on))
 
 
-def apply_switch_on(params: PhysicalParams,
-                    spin_amplitude: complex) -> CoherencePair:
-    coeff = switch_on_coefficients(params)
-    return CoherencePair(r12=coeff.c12 * spin_amplitude,
-                         r13=1j * coeff.c13 * spin_amplitude)
-
-
 def switch_on_efficiency(params: PhysicalParams) -> float:
     """Fraction of the spin excitation available to the retrieval dynamics
     after the read control ramps up:

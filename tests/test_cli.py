@@ -9,6 +9,7 @@ import pytest
 from ramanecho.cli import (
     OBSERVABLES,
     SweepSpec,
+    _apply_axis,
     emit_csv,
     emit_json,
     main,
@@ -17,7 +18,8 @@ from ramanecho.cli import (
     split_config,
     sweep_from_options,
 )
-from ramanecho.params import BroadeningSpec, ConfigError, PhysicalParams
+from ramanecho.params import (BroadeningSpec, ConfigError, PhysicalParams,
+                              quadrature_nodes)
 
 PIPELINE_CFG = """\
 # round-trip check configuration
@@ -78,7 +80,7 @@ def test_axis_log_range():
 
 
 @pytest.mark.parametrize("bad", ["1:2", "1:2:3:4:5", "0:1:0", "1:2:3:cubic",
-                                 "-1:10:4:log", "a,b"])
+                                 "-1:10:4:log", "a,b", "a:2:3", "0:1:2.5"])
 def test_axis_rejects_malformed(bad):
     with pytest.raises(ConfigError):
         parse_axis_values(bad)
@@ -171,6 +173,22 @@ def test_run_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_integer_axis_takes_integral_values_as_int():
+    _, b = _apply_axis(PhysicalParams.make(), BroadeningSpec(), "n_default",
+                       3.0)
+    assert b.n_default == 3 and isinstance(b.n_default, int)
+    assert len(quadrature_nodes(b)[0]) == 3
+
+
+def test_integer_axis_rejects_fractional_value():
+    spec = SweepSpec(axes=(("n_default", np.array([4.0, 3.5])),),
+                     observable="overall_eff")
+    rows, _ = run_sweep(spec, PhysicalParams.make(), BroadeningSpec())
+    assert rows[0]["error"] == ""
+    assert math.isnan(rows[1]["overall_eff"])
+    assert "integers" in rows[1]["error"]
+
+
 def test_run_sweep_unknown_axis_marks_row():
     spec = SweepSpec(axes=(("warp", np.array([1.0])),), observable="eps_t")
     rows, _ = run_sweep(spec, PhysicalParams.make(), BroadeningSpec())
@@ -214,6 +232,14 @@ def test_switch_on_gamma_underflow_is_an_error_row(tmp_path):
 def test_missing_axes_exit_one(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "delta01 = 10\n")
     assert main(["switch-off", "--config", cfg]) == 1
+
+
+def test_malformed_range_exits_one_with_one_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.cfg", "sweep_axis1 = k_off\n"
+                 "sweep_values1 = a:2:3\n")
+    assert main(["switch-off", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "a:2:3" in err
 
 
 def test_unknown_config_key_exit_one(tmp_path):

@@ -8,7 +8,6 @@ from ramanecho.efficiency import (
     complex_absorption,
     complex_line_depth,
     dephasing_factor,
-    depth_from_beta,
     echo_envelope_map,
     echo_time,
     effective_linewidth,
@@ -82,11 +81,7 @@ def test_absorption_peak_sits_on_line_center():
 def test_effective_linewidth_modes():
     p = PhysicalParams.make(omega1_rabi=1.0, delta01=10.0, gamma21=0.02,
                             gamma31=3.0)
-    assert effective_linewidth(p, 1, "scaled") == pytest.approx(
-        0.02 + 3.0 * 0.01)
-    assert effective_linewidth(p, 1, "bare") == pytest.approx(3.02)
-    with pytest.raises(DomainError):
-        effective_linewidth(p, 1, "other")
+    assert effective_linewidth(p, 1) == pytest.approx(0.02 + 3.0 * 0.01)
 
 
 def test_resolve_coupling_roundtrip():
@@ -95,7 +90,7 @@ def test_resolve_coupling_roundtrip():
                  gradient_shape(0.8)):
         r = resolve_coupling(p, spec)
         assert r.beta > 0
-        assert depth_from_beta(r, spec) == pytest.approx(5.0, rel=1e-12)
+        assert line_center_depth(r, spec) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_resolve_coupling_needs_positive_depth():

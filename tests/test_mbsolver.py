@@ -24,7 +24,7 @@ from ramanecho.mbsolver import (
     simulate_storage_full,
     simulate_storage_reduced,
     stage_handoff_multipliers,
-    stored_excitation_full,
+    stored_excitation,
     write_schedule,
 )
 from ramanecho.params import (
@@ -187,7 +187,7 @@ def test_full_read_energy_theorem():
     r12 = np.exp(-0.5 * ((z[:, None] - 0.5) / 0.2) ** 2) \
         * np.ones(8)[None, :] + 0j
     r13 = np.zeros_like(r12)
-    stored0 = stored_excitation_full(p, z, weights, r13, r12)
+    stored0 = stored_excitation(p, z, weights, r13, r12)
     res = simulate_retrieval_full(p, gaussian_shape(0.05), r13, r12, z,
                                   nodes, np.zeros(8), weights, t_end=30.0)
     released = stored0 - res.stored

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from ramanecho.params import (
     DomainError,
     FieldEnvelope,
     PhysicalParams,
-    SimulationGrid,
     broadening_from_config,
     gaussian_shape,
     gradient_shape,
@@ -52,6 +52,14 @@ def test_make_explicit_values_win():
 def test_invalid_parameters_rejected(kw):
     with pytest.raises(DomainError):
         PhysicalParams(**kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(PhysicalParams)])
+def test_non_finite_parameters_rejected(name, bad):
+    with pytest.raises(DomainError):
+        PhysicalParams.make(**{name: bad})
 
 
 def test_replace_is_functional():
@@ -156,6 +164,21 @@ def test_unknown_kind_rejected():
         BroadeningSpec(raman_kind="boxcar")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["raman_width", "optical_width", "cutoff"])
+def test_non_finite_broadening_rejected(name, bad):
+    for kind in ("gaussian", "gradient"):
+        with pytest.raises(ConfigError):
+            BroadeningSpec(raman_kind=kind, **{name: bad})
+
+
+@pytest.mark.parametrize("n", [3.5, 3.0])
+def test_node_count_must_be_an_integer(n):
+    # the Gauss-Hermite rule takes an int node count, even for 3.0
+    with pytest.raises(ConfigError):
+        BroadeningSpec(n_default=n)
+
+
 @given(width=st.floats(0.01, 5.0), n=st.integers(2, 80),
        kind=st.sampled_from(["gaussian", "lorentzian"]),
        rule=st.sampled_from(["gauss", "uniform"]))
@@ -183,21 +206,6 @@ def test_light_shift_sign():
 
 
 # ---------- grids and envelopes ----------
-
-def test_grid_axes_must_increase():
-    with pytest.raises(DomainError):
-        SimulationGrid(tau_samples=np.array([0.0, 1.0, 0.5]),
-                       z_samples=np.linspace(0, 1, 5))
-
-
-def test_grid_nyquist_guard():
-    g = SimulationGrid(tau_samples=np.linspace(0, 10, 11),
-                       z_samples=np.linspace(0, 1, 5),
-                       nu_samples=np.linspace(-1, 1, 21))
-    g.check_nyquist(0.4)
-    with pytest.raises(DomainError):
-        g.check_nyquist(0.6)
-
 
 def test_envelope_energy_matches_trapezoid():
     t = np.linspace(-40, 40, 4001)

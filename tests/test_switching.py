@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from ramanecho.params import DomainError, PhysicalParams
 from ramanecho.switching import (
     CoherencePair,
-    apply_switch_on,
     init_coherence_after_storage,
     switch_off_asymptotic,
     switch_off_coherences,
@@ -204,15 +203,6 @@ def test_switch_on_matches_brute_force():
         scale = max(abs(ode.r12), abs(ode.r13), 1.0)
         assert abs(co.c12 - ode.r12) / scale < 1e-7
         assert abs(1j * co.c13 - ode.r13) / scale < 1e-7
-
-
-def test_apply_switch_on_partitions_spin_amplitude():
-    p = PhysicalParams(**ON_CASES[0][0])
-    s = 0.4 - 0.9j
-    pair = apply_switch_on(p, s)
-    co = switch_on_coefficients(p)
-    assert pair.r12 == co.c12 * s
-    assert pair.r13 == 1j * co.c13 * s
 
 
 def test_switch_on_efficiency_improves_with_rate():
