@@ -259,25 +259,15 @@ def run_sweep(spec: SweepSpec, params: PhysicalParams,
 
 # ===================== subcommands =====================
 
-def _cmd_sweep_like(args, default_observable) -> int:
+def cmd_sweep(args) -> int:
+    """switch-off, switch-on and efficiency-map: a sweep whose observable
+    defaults to the subcommand's own (args.observable)."""
     cfg = read_cli_config(args.config)
-    spec = sweep_from_options(cfg.options, default_observable)
+    spec = sweep_from_options(cfg.options, args.observable)
     rows, columns = run_sweep(spec, cfg.params, cfg.broadening, cfg.options,
                               jobs=args.jobs)
     _write_rows(rows, columns, args.out, args.format)
     return 2 if any(r["error"] for r in rows) else 0
-
-
-def cmd_switch_off(args) -> int:
-    return _cmd_sweep_like(args, "eps_t")
-
-
-def cmd_switch_on(args) -> int:
-    return _cmd_sweep_like(args, "eps_r")
-
-
-def cmd_efficiency_map(args) -> int:
-    return _cmd_sweep_like(args, "overall_eff")
 
 
 def cmd_pipeline(args) -> int:
@@ -454,14 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tolerance", type=float, default=None,
                         help="fail (exit 3) when the check exceeds this")
 
-    for name, fn in (("switch-off", cmd_switch_off),
-                     ("switch-on", cmd_switch_on),
-                     ("efficiency-map", cmd_efficiency_map),
-                     ("pipeline", cmd_pipeline),
-                     ("str-check", cmd_str_check)):
+    # (subcommand, handler, default observable of a sweep)
+    for name, fn, observable in (("switch-off", cmd_sweep, "eps_t"),
+                                 ("switch-on", cmd_sweep, "eps_r"),
+                                 ("efficiency-map", cmd_sweep, "overall_eff"),
+                                 ("pipeline", cmd_pipeline, None),
+                                 ("str-check", cmd_str_check, None)):
         sp = sub.add_parser(name)
         common(sp)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, observable=observable)
 
     sp = sub.add_parser("figure")
     sp.add_argument("number", type=int, help="figure data set, 2..7")

@@ -32,7 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import wofz
 
 from . import switching
@@ -54,19 +53,21 @@ __all__ = [
 ]
 
 
-def effective_linewidth(params: PhysicalParams, stage: int = 1) -> float:
-    r = params.omega(stage) / params.delta0(stage)
+def effective_linewidth(params: PhysicalParams) -> float:
+    """Write-stage two-photon linewidth gamma21 + gamma31 r^2."""
+    r = params.omega1_rabi / params.delta01
     return params.gamma21 + params.gamma31 * r * r
 
 
 def complex_absorption(params: PhysicalParams, broadening: BroadeningSpec,
-                       nu: float, z: float = 0.0,
-                       stage: int = 1) -> complex:
-    """Complex absorption coefficient of the reduced model at detuning nu
-    from the two-photon line (per unit length; real part absorbs)."""
-    r = params.omega(stage) / params.delta0(stage)
+                       nu: float) -> complex:
+    """Complex absorption coefficient of the reduced model's write stage at
+    detuning nu from the two-photon line (per unit length; real part
+    absorbs).  Spectral lines only: the gradient line depends on z, and
+    complex_line_depth integrates it in closed form."""
+    r = params.omega1_rabi / params.delta01
     bpre = params.beta * r * r
-    g = effective_linewidth(params, stage)
+    g = effective_linewidth(params)
     kind = broadening.raman_kind
     if kind == LORENTZIAN:
         w = broadening.raman_width
@@ -81,26 +82,20 @@ def complex_absorption(params: PhysicalParams, broadening: BroadeningSpec,
             return bpre / complex(g, -nu)
         zz = complex(nu, g) / (s * math.sqrt(2.0))
         return bpre * math.sqrt(math.pi) * wofz(zz) / (s * math.sqrt(2.0))
-    if kind == GRADIENT:
-        chi = broadening.chi
-        if chi == 0:
-            raise DomainError("gradient line needs a nonzero slope")
-        centre = chi * (z - 0.5 * params.medium_length)
-        return -1j * bpre / complex(centre - nu, -(g + 1e-300))
     raise DomainError(f"unsupported raman_kind {kind!r}")
 
 
 def complex_line_depth(params: PhysicalParams, broadening: BroadeningSpec,
-                       nu: float, stage: int = 1) -> complex:
-    """Absorption coefficient integrated along the medium.  Spectral shapes
-    are z-independent; the gradient variant has the closed-form log."""
+                       nu: float) -> complex:
+    """Write-stage absorption coefficient integrated along the medium.
+    Spectral shapes are z-independent; the gradient variant, whose line sits
+    at chi (z - L/2), has the closed-form log."""
     length = params.medium_length
     if broadening.raman_kind != GRADIENT:
-        return complex_absorption(params, broadening, nu, 0.0,
-                                  stage) * length
-    r = params.omega(stage) / params.delta0(stage)
+        return complex_absorption(params, broadening, nu) * length
+    r = params.omega1_rabi / params.delta01
     bpre = params.beta * r * r
-    g = effective_linewidth(params, stage) + 1e-300
+    g = effective_linewidth(params) + 1e-300
     chi = broadening.chi
     hi = complex(chi * length / 2.0 - nu, -g)
     lo = complex(-chi * length / 2.0 - nu, -g)
@@ -135,15 +130,14 @@ def echo_time(eta: float, tau_echo_unit: float) -> float:
     return 0.5 * (1.0 + 1.0 / eta) * tau_echo_unit
 
 
-def dephasing_factor(params: PhysicalParams, broadening: BroadeningSpec,
-                     eta: float | None = None) -> float:
+def dephasing_factor(params: PhysicalParams,
+                     broadening: BroadeningSpec) -> float:
     """Amplitude suppression from the control-induced light shift varying
     across the optical line (width delta_in).  Active while a control is on,
     i.e. for tau_echo(eta) - tau_st.  Echo ENERGY carries the square."""
     if broadening.optical_kind == NONE or broadening.optical_width == 0:
         return 1.0
-    if eta is None:
-        eta = params.eta
+    eta = params.eta
     r2 = (params.omega1_rabi / params.delta01) ** 2
     active = echo_time(eta, params.tau_echo) - params.tau_st
     if active < 0:
@@ -166,15 +160,11 @@ class EfficiencyBreakdown:
     gamma_factor: float
     storage_decay: float
     depth_factor: float
-    total: float
 
-    @classmethod
-    def from_factors(cls, eps_t, eps_r, gamma_factor, storage_decay,
-                     depth_factor):
-        return cls(eps_t=eps_t, eps_r=eps_r, gamma_factor=gamma_factor,
-                   storage_decay=storage_decay, depth_factor=depth_factor,
-                   total=eps_t * eps_r * gamma_factor * storage_decay
-                   * depth_factor)
+    @property
+    def total(self) -> float:
+        return (self.eps_t * self.eps_r * self.gamma_factor
+                * self.storage_decay * self.depth_factor)
 
 
 def _budget_factors(params: PhysicalParams, broadening: BroadeningSpec):
@@ -207,8 +197,7 @@ def overall_efficiency(params: PhysicalParams,
     else:
         depth = params.optical_depth
     depth_fac = abs(1.0 - math.exp(-depth)) ** 2
-    return EfficiencyBreakdown.from_factors(eps_t, eps_r, gam * gam, decay,
-                                            depth_fac)
+    return EfficiencyBreakdown(eps_t, eps_r, gam * gam, decay, depth_fac)
 
 
 def echo_envelope_map(params: PhysicalParams, input_env: FieldEnvelope,

@@ -58,7 +58,6 @@ class ControlSegment:
     constant  -> level
     ramp_down -> level * exp(-rate * (tau - t0))
     ramp_up   -> level * exp(+rate * (tau - t1))   (reaches level at t1)
-    off       -> 0
     """
 
     t0: float
@@ -68,7 +67,7 @@ class ControlSegment:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "ramp_down", "ramp_up", "off"):
+        if self.kind not in ("constant", "ramp_down", "ramp_up"):
             raise DomainError(f"unknown control segment kind {self.kind!r}")
         if self.t1 <= self.t0:
             raise DomainError("control segment needs t1 > t0")
@@ -78,8 +77,6 @@ class ControlSegment:
     def value(self, tau: float) -> float:
         if self.kind == "constant":
             return self.level
-        if self.kind == "off":
-            return 0.0
         if self.kind == "ramp_down":
             return self.level * math.exp(-self.rate * (tau - self.t0))
         return self.level * math.exp(self.rate * (tau - self.t1))
@@ -179,9 +176,9 @@ def graded_z_grid(length: float, depth: float, n_uniform: int = 48):
     return np.asarray(pts)
 
 
-def gaussian_input(t_peak: float, sigma_t: float, axis: np.ndarray,
-                   amplitude: complex = 1.0) -> FieldEnvelope:
-    samples = amplitude * np.exp(-0.5 * ((axis - t_peak) / sigma_t) ** 2)
+def gaussian_input(t_peak: float, sigma_t: float,
+                   axis: np.ndarray) -> FieldEnvelope:
+    samples = np.exp(-0.5 * ((axis - t_peak) / sigma_t) ** 2)
     return FieldEnvelope(samples=samples.astype(complex), axis=axis,
                          z=0.0, direction="forward", kind="time")
 
@@ -195,21 +192,27 @@ def _sample_input(env: FieldEnvelope | None, tau: np.ndarray):
     axis and everywhere when the stage has no input (env None)."""
     if env is None:
         return np.zeros(len(tau), complex), np.zeros(len(tau) - 1, complex)
-    return tuple(np.interp(t, env.axis, env.samples.real, left=0.0,
-                           right=0.0)
-                 + 1j * np.interp(t, env.axis, env.samples.imag, left=0.0,
-                                  right=0.0)
-                 for t in (tau, _midpoints(tau)))
+    return env.at(tau), env.at(_midpoints(tau))
 
 
 # ===================== shared stage set-up and march =====================
 
-def _stage_tau(params, t_end, dtau):
-    """Uniform time grid of one stage run; every run needs beta resolved."""
+def _stage_grid(params, t_end, dtau, fastest, limit, direction):
+    """Uniform time grid of one stage run, with the sign of its field
+    integral and the z index where the field leaves: +1 and Z = L forward,
+    -1 and Z = 0 backward.  Every run needs beta resolved, a known direction
+    and a step that resolves its fastest rate, dtau * fastest <= limit."""
     if params.beta <= 0:
         raise DomainError("params.beta must be resolved (> 0) before a run; "
                           "see efficiency.resolve_coupling")
-    return np.linspace(0.0, t_end, int(round(t_end / dtau)) + 1)
+    if direction not in ("forward", "backward"):
+        raise DomainError(f"direction must be forward/backward, got "
+                          f"{direction!r}")
+    if dtau * fastest > limit:
+        raise DomainError(f"time step {dtau:g} too coarse for rate "
+                          f"{fastest:g} (need dtau * rate <= {limit:g})")
+    tau = np.linspace(0.0, t_end, int(round(t_end / dtau)) + 1)
+    return (tau, -1, 0) if direction == "backward" else (tau, +1, -1)
 
 
 def _exit_field(samples, tau, z, exit_idx, direction):
@@ -267,12 +270,13 @@ def stored_excitation(params, z, weights, *coherences) -> float:
 
 # ===================== reduced solver =====================
 
-def _reduced_stage(params, tau, z, d_nodes, weights, e_in, stage, direction,
+def _reduced_stage(params, grid, direction, z, d_nodes, weights, env, stage,
                    m_init, m_subset) -> StageResult:
     """Reduced model: the field is algebraic in M, so the marching state is
-    just the (nz, nd) spin array.  e_in is the input field at tau and at
-    the step midpoints."""
-    sign, exit_idx = (-1, 0) if direction == "backward" else (+1, -1)
+    just the (nz, nd) spin array.  env is the input field (None: no
+    input)."""
+    tau, sign, exit_idx = grid
+    e_in = _sample_input(env, tau)
     r = params.omega(stage) / params.delta0(stage)
     ir = 1j * r
     ic = 1j * (0.5 * params.beta * r)
@@ -318,29 +322,30 @@ def _reduced_stage(params, tau, z, d_nodes, weights, e_in, stage, direction,
 def simulate_storage_reduced(params: PhysicalParams,
                              broadening: BroadeningSpec,
                              input_field: FieldEnvelope, *,
-                             t_end: float | None = None,
+                             t_end: float,
                              dtau: float = 0.125,
                              n_nodes: int | None = None,
                              nz: int = 48,
                              m_subset=None) -> StageResult:
     """Write-stage run of the reduced model with constant write control.
+    The step must resolve the detuning span, dtau * span <= 0.5 with
+    span = max|d| + gamma21.
 
     Returns the transmitted field at Z = L, the final spin array and the
     field / collective-spin histories."""
-    if t_end is None:
-        t_end = params.tau0 if params.tau0 > 0 else float(input_field.axis[-1])
-    tau = _stage_tau(params, t_end, dtau)
     if not is_off_resonant(params, broadening, stage=1):
         raise DomainError("reduced model outside its validity range: "
                           "|delta01| must exceed the Rabi frequency and "
                           "broadening widths")
     d_nodes, weights = quadrature_nodes(broadening, n_nodes, line="raman")
-    _check_reduced_step(dtau, d_nodes, params)
+    grid = _stage_grid(params, t_end, dtau,
+                       np.max(np.abs(d_nodes)) + params.gamma21, 0.5,
+                       "forward")
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
-    return _reduced_stage(params, tau, z, d_nodes, weights,
-                          _sample_input(input_field, tau), 1, "forward",
-                          np.zeros((len(z), len(d_nodes))), m_subset)
+    return _reduced_stage(params, grid, "forward", z, d_nodes, weights,
+                          input_field, 1, np.zeros((len(z), len(d_nodes))),
+                          m_subset)
 
 
 def simulate_retrieval_reduced(params: PhysicalParams,
@@ -356,22 +361,15 @@ def simulate_retrieval_reduced(params: PhysicalParams,
     """Read-stage run of the reduced model from a prepared spin array.
 
     The node grid is still the stage-1 shifted detuning; each node evolves at
-    -eta*d.  direction='backward' (the echo direction) integrates the field
-    from Z = L toward 0; 'forward' keeps the write-stage geometry to expose
-    the reabsorption penalty."""
-    tau = _stage_tau(params, t_end, dtau)
-    _check_reduced_step(dtau, params.eta * d_nodes, params)
-    return _reduced_stage(params, tau, z, d_nodes, weights,
-                          _sample_input(None, tau), 2, direction, m_initial,
-                          m_subset)
-
-
-def _check_reduced_step(dtau, dt_nodes, params):
-    fastest = np.max(np.abs(dt_nodes)) + params.gamma21
-    if fastest > 0 and dtau * fastest > 0.5:
-        raise DomainError(
-            f"time step {dtau:g} too coarse for detuning span "
-            f"{fastest:g} (need dtau * span <= 0.5)")
+    -eta*d, so the step must satisfy dtau * (eta max|d| + gamma21) <= 0.5.
+    direction='backward' (the echo direction) integrates the field from
+    Z = L toward 0; 'forward' keeps the write-stage geometry to expose the
+    reabsorption penalty."""
+    grid = _stage_grid(params, t_end, dtau,
+                       np.max(np.abs(params.eta * d_nodes)) + params.gamma21,
+                       0.5, direction)
+    return _reduced_stage(params, grid, direction, z, d_nodes, weights, None,
+                          2, m_initial, m_subset)
 
 
 # ===================== full solver =====================
@@ -392,27 +390,13 @@ def _raw_two_photon(params, d_nodes, stage):
     return stark_shifted_detuning(params, target, stage, inverse=True)
 
 
-def _full_step(params, stage, delta1, dtau):
-    """Time step of a full-model run.  The optical coherence turns at up to
-    `fastest` = |delta0 + delta1| + Omega; RK4 resolves that while
-    dtau * fastest <= 0.2, and the default step is 75 % of this limit."""
-    fastest = (np.max(np.abs(params.delta0(stage) + delta1))
-               + params.omega(stage))
-    if dtau is None:
-        return 0.15 / fastest
-    if dtau * fastest > 0.2:
-        raise DomainError(f"time step {dtau:g} too coarse for optical "
-                          f"frequency {fastest:g} (need dtau * fastest "
-                          f"<= 0.2)")
-    return dtau
-
-
-def _full_stage(params, tau, z, Delta1, delta1, weights, a_in, schedule,
-                stage, direction, y0) -> FullStageResult:
+def _full_stage(params, grid, direction, z, Delta1, delta1, weights, env,
+                schedule, stage, y0) -> FullStageResult:
     """Full model on the stacked state y = (R13, R12), shape (2, nz, n).
-    a_in is the input field at tau and at the step midpoints; without a
-    schedule the stage's control stays at its constant level."""
-    sign, exit_idx = (-1, 0) if direction == "backward" else (+1, -1)
+    env is the input field (None: no input); without a schedule the
+    stage's control stays at its constant level."""
+    tau, sign, exit_idx = grid
+    a_in = _sample_input(env, tau)
     if schedule is None:
         schedule = (ControlSegment(0.0, tau[-1], "constant",
                                    params.omega(stage)),)
@@ -456,17 +440,20 @@ def simulate_storage_full(params: PhysicalParams,
                           control_schedule=None) -> FullStageResult:
     """Write-stage run of the full three-level model (no adiabatic
     elimination).  The optical coherence turns at up to
-    fastest = |delta01 + delta1| + Omega1; dtau * fastest may not exceed
-    0.2, and the default step is 0.15 / fastest."""
+    fastest = |delta01 + delta1| + Omega1; RK4 resolves it while
+    dtau * fastest <= 0.2, and the default step is 0.15 / fastest."""
     Dg, og, wg, d_nodes = _full_ensemble(params, broadening, n_nodes,
                                          n_optical)
     Delta1 = _raw_two_photon(params, Dg, 1)
-    tau = _stage_tau(params, t_end, _full_step(params, 1, og, dtau))
+    fastest = np.max(np.abs(params.delta01 + og)) + params.omega1_rabi
+    if dtau is None:
+        dtau = 0.15 / fastest
+    grid = _stage_grid(params, t_end, dtau, fastest, 0.2, "forward")
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
-    return _full_stage(params, tau, z, Delta1, og, wg,
-                       _sample_input(input_field, tau), control_schedule, 1,
-                       "forward", np.zeros((2, len(z), len(Delta1))))
+    return _full_stage(params, grid, "forward", z, Delta1, og, wg,
+                       input_field, control_schedule, 1,
+                       np.zeros((2, len(z), len(Delta1))))
 
 
 def simulate_retrieval_full(params: PhysicalParams,
@@ -482,10 +469,13 @@ def simulate_retrieval_full(params: PhysicalParams,
     Delta1_grid must already be the stage-2 raw two-photon detunings.  The
     step follows the write-stage rule with delta02 and Omega2:
     dtau * (|delta02 + delta1| + Omega2) <= 0.2, default 0.15 / that rate."""
-    tau = _stage_tau(params, t_end, _full_step(params, 2, delta1_grid, dtau))
-    return _full_stage(params, tau, z, Delta1_grid, delta1_grid, weights,
-                       _sample_input(None, tau), control_schedule, 2,
-                       direction, np.stack([r13_init, r12_init]))
+    fastest = np.max(np.abs(params.delta02 + delta1_grid)) + params.omega2_rabi
+    if dtau is None:
+        dtau = 0.15 / fastest
+    grid = _stage_grid(params, t_end, dtau, fastest, 0.2, direction)
+    return _full_stage(params, grid, direction, z, Delta1_grid, delta1_grid,
+                       weights, None, control_schedule, 2,
+                       np.stack([r13_init, r12_init]))
 
 
 # ===================== closed-form spectral echo =====================
@@ -501,21 +491,21 @@ def echo_spectral_solution(params: PhysicalParams,
     with eps~ the switching/decay part of the efficiency budget and kappa_c
     the complex line depth of the write stage.  Output times are measured
     from the arrival of the image of the input's time origin (apply an extra
-    exp(i nu T) for a different epoch).  Only eta_prime == eta admits this
-    closed form.
+    exp(i nu T) for a different epoch).  Only the matched coupling ratio
+    (omega2/delta02)^2 = eta (omega1/delta01)^2 admits this closed form.
     """
-    if params.eta_prime != params.eta:
-        raise DomainError("closed-form echo requires eta_prime == eta")
+    eta = params.eta
+    if not math.isclose((params.omega2_rabi / params.delta02) ** 2,
+                        eta * (params.omega1_rabi / params.delta01) ** 2,
+                        rel_tol=1e-12):
+        raise DomainError("closed-form echo requires (omega2/delta02)^2 = "
+                          "eta (omega1/delta01)^2")
     if input_spectrum.kind != "freq":
         raise DomainError("input_spectrum must be a frequency-domain envelope")
-    eta = params.eta
     if nu_out is None:
         nu_out = -eta * input_spectrum.axis[::-1]
     nu_src = -nu_out / eta
-    e1 = (np.interp(nu_src, input_spectrum.axis, input_spectrum.samples.real,
-                    left=0.0, right=0.0)
-          + 1j * np.interp(nu_src, input_spectrum.axis,
-                           input_spectrum.samples.imag, left=0.0, right=0.0))
+    e1 = input_spectrum.at(nu_src)
     kap = np.array([efficiency.complex_line_depth(params, broadening, nu)
                     for nu in nu_src])
     amp = math.sqrt(efficiency.eps_tilde(params, broadening) / eta)

@@ -59,10 +59,11 @@ class PhysicalParams:
     gamma21, gamma31 : spin and optical coherence decay rates.
     beta : field-atom coupling constant of the propagation equations.  Treated
         as a single fitted number; normally derived from optical_depth, see
-        efficiency.beta_from_depth.
-    eta : time-scaling factor of the retrieval stage (>1 compresses).
-    eta_prime : coupling-ratio scaling; only eta_prime == eta is supported by
-        the closed-form echo solution.
+        efficiency.resolve_coupling.
+    eta : time-scaling factor of the retrieval stage (>1 compresses).  The
+        closed-form echo also needs the coupling ratio scaled to match,
+        omega2_rabi/delta02 = sqrt(eta) omega1_rabi/delta01, which the
+        `make` defaults satisfy.
     k_off / k_on : exponential switch-off and switch-on rates of the control.
     tau0 : time the write control starts switching off.
     tau_echo : echo emission time (unit-eta reference unless noted).
@@ -80,7 +81,6 @@ class PhysicalParams:
     gamma31: float = 0.0
     beta: float = 0.0
     eta: float = 1.0
-    eta_prime: float = 1.0
     k_off: float = 1.0
     k_on: float = 1.0
     tau0: float = 0.0
@@ -101,8 +101,6 @@ class PhysicalParams:
                                   f"{getattr(self, name)}")
         if self.eta <= 0:
             raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.eta_prime <= 0:
-            raise DomainError(f"eta_prime must be positive, got {self.eta_prime}")
         if self.delta01 == 0:
             raise DomainError("delta01 must be nonzero (off-resonant scheme)")
         if self.delta02 == 0:
@@ -119,11 +117,9 @@ class PhysicalParams:
         """Construct with the conventional read-stage defaults filled in:
         omega2_rabi = sqrt(eta) * omega1_rabi and delta02 = delta01 unless
         given explicitly."""
-        eta = kw.get("eta", 1.0)
-        kw.setdefault("omega2_rabi",
-                      math.sqrt(eta) * kw.get("omega1_rabi", 1.0))
+        kw.setdefault("omega2_rabi", math.sqrt(kw.get("eta", 1.0))
+                      * kw.get("omega1_rabi", 1.0))
         kw.setdefault("delta02", kw.get("delta01", 10.0))
-        kw.setdefault("eta_prime", eta)
         return cls(**kw)
 
     def replace(self, **kw) -> "PhysicalParams":
@@ -231,42 +227,6 @@ def gradient_shape(chi: float, **kw) -> BroadeningSpec:
     return BroadeningSpec(raman_kind=GRADIENT, raman_width=chi, **kw)
 
 
-def _nodes_gaussian(width: float, n: int, rule: str, cutoff: float):
-    if n == 1:
-        return np.array([0.0]), np.array([1.0])
-    if rule == "gauss":
-        # Hermite rule: integrates exp(-t^2); our density has sigma = width
-        t, w = np.polynomial.hermite.hermgauss(n)
-        nodes = t * math.sqrt(2.0) * width
-        weights = w / math.sqrt(math.pi)
-        return nodes, weights / weights.sum()
-    radius = (cutoff or GAUSSIAN_CUTOFF) * width
-    nodes = np.linspace(-radius, radius, n)
-    dens = np.exp(-0.5 * (nodes / width) ** 2)
-    weights = dens * _trapezoid_weights(nodes)
-    return nodes, weights / weights.sum()
-
-
-def _nodes_lorentzian(width: float, n: int, rule: str, cutoff: float):
-    if n == 1:
-        return np.array([0.0]), np.array([1.0])
-    radius = (cutoff or LORENTZIAN_CUTOFF)
-    if rule == "gauss":
-        # substitute x = width*tan(theta): the Lorentzian density becomes the
-        # flat density 1/pi on theta, so Gauss-Legendre in theta is exact for
-        # smooth integrands of theta
-        theta_max = math.atan(radius)
-        t, w = np.polynomial.legendre.leggauss(n)
-        theta = t * theta_max
-        nodes = width * np.tan(theta)
-        weights = w * theta_max / math.pi
-        return nodes, weights / weights.sum()
-    nodes = np.linspace(-radius * width, radius * width, n)
-    dens = 1.0 / (1.0 + (nodes / width) ** 2)
-    weights = dens * _trapezoid_weights(nodes)
-    return nodes, weights / weights.sum()
-
-
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w = np.zeros_like(x)
     dx = np.diff(x)
@@ -293,15 +253,32 @@ def quadrature_nodes(spec: BroadeningSpec, n: int | None = None,
             raise DomainError("no spectral quadrature for delta distribution")
     elif line == "optical":
         kind, width = spec.optical_kind, spec.optical_width
-        if kind == NONE:
-            return np.array([0.0]), np.array([1.0])
     else:
         raise DomainError(f"line must be 'raman' or 'optical', got {line!r}")
-    if width == 0.0:
+    if kind == NONE or width == 0.0 or n == 1:
         return np.array([0.0]), np.array([1.0])
-    if kind == GAUSSIAN:
-        return _nodes_gaussian(width, n, spec.rule, spec.cutoff)
-    return _nodes_lorentzian(width, n, spec.rule, spec.cutoff)
+    gaussian = kind == GAUSSIAN
+    if spec.rule == "uniform":
+        cutoff = spec.cutoff or (GAUSSIAN_CUTOFF if gaussian
+                                 else LORENTZIAN_CUTOFF)
+        nodes = np.linspace(-cutoff * width, cutoff * width, n)
+        x = nodes / width
+        dens = np.exp(-0.5 * x ** 2) if gaussian else 1.0 / (1.0 + x ** 2)
+        weights = dens * _trapezoid_weights(nodes)
+    elif gaussian:
+        # Hermite rule: integrates exp(-t^2); our density has sigma = width
+        t, w = np.polynomial.hermite.hermgauss(n)
+        nodes = t * math.sqrt(2.0) * width
+        weights = w / math.sqrt(math.pi)
+    else:
+        # substitute x = width*tan(theta): the Lorentzian density becomes the
+        # flat density 1/pi on theta, so Gauss-Legendre in theta is exact for
+        # smooth integrands of theta
+        theta_max = math.atan(spec.cutoff or LORENTZIAN_CUTOFF)
+        t, w = np.polynomial.legendre.leggauss(n)
+        nodes = width * np.tan(t * theta_max)
+        weights = w * theta_max / math.pi
+    return nodes, weights / weights.sum()
 
 
 # ===================== detuning bookkeeping =====================
@@ -358,8 +335,12 @@ class FieldEnvelope:
     def energy(self) -> float:
         return float(np.trapezoid(np.abs(self.samples) ** 2, self.axis))
 
-    def replace(self, **kw) -> "FieldEnvelope":
-        return dataclasses.replace(self, **kw)
+    def at(self, points) -> np.ndarray:
+        """Samples interpolated linearly at points, zero outside the axis."""
+        return (np.interp(points, self.axis, self.samples.real, left=0.0,
+                          right=0.0)
+                + 1j * np.interp(points, self.axis, self.samples.imag,
+                                 left=0.0, right=0.0))
 
 
 # ===================== flat key=value configuration =====================

@@ -177,11 +177,7 @@ def waveform_fidelity(input_env: FieldEnvelope, echo_env: FieldEnvelope,
     if eta <= 0:
         raise DomainError("eta must be positive")
     t2 = echo_env.axis
-    arg = -eta * (t2 - tau_echo)
-    ref = (np.interp(arg, input_env.axis, input_env.samples.real,
-                     left=0.0, right=0.0)
-           + 1j * np.interp(arg, input_env.axis, input_env.samples.imag,
-                            left=0.0, right=0.0))
+    ref = input_env.at(-eta * (t2 - tau_echo))
     norm_ref = np.trapezoid(np.abs(ref) ** 2, t2)
     norm_echo = np.trapezoid(np.abs(echo_env.samples) ** 2, t2)
     if norm_ref <= 0 or norm_echo <= 0:

@@ -42,7 +42,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import solve_ivp
 
 from .params import DomainError, PhysicalParams
@@ -277,17 +276,14 @@ def switch_on_efficiency(params: PhysicalParams) -> float:
     return abs(coeff.c12) ** 2 + abs(weight * coeff.c13) ** 2
 
 
-def switch_on_ode_oracle(params: PhysicalParams, rtol: float = 1e-10,
-                         start_span: float | None = None) -> CoherencePair:
+def switch_on_ode_oracle(params: PhysicalParams) -> CoherencePair:
     """Brute-force integration of the exponential ramp-up from deep in its
-    tail, starting with unit spin coherence and the adiabatically slaved
-    optical coherence i*W(t0)/(k_on + i*delta02)."""
+    tail, t0 = -30/k_on, starting with unit spin coherence and the
+    adiabatically slaved optical coherence i*W(t0)/(k_on + i*delta02)."""
     k = params.k_on
     w2 = params.omega2_rabi
     d02 = params.delta02
-    if start_span is None:
-        start_span = 30.0 / k
-    t0 = -start_span
+    t0 = -30.0 / k
     w_init = w2 * math.exp(k * t0)
     r13_0 = 1j * w_init / (k + 1j * d02)
 
@@ -300,7 +296,7 @@ def switch_on_ode_oracle(params: PhysicalParams, rtol: float = 1e-10,
         return [d13.real, d13.imag, d12.real, d12.imag]
 
     sol = solve_ivp(rhs, (t0, 0.0), [r13_0.real, r13_0.imag, 1.0, 0.0],
-                    method="DOP853", rtol=rtol, atol=1e-14)
+                    method="DOP853", rtol=1e-10, atol=1e-14)
     if not sol.success:
         raise DomainError(f"switch-on oracle failed: {sol.message}")
     y = sol.y[:, -1]

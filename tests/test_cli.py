@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ramanecho import efficiency
 from ramanecho.cli import (
     OBSERVABLES,
     SweepSpec,
@@ -286,6 +287,94 @@ def test_figure_switch_on_data(tmp_path):
     rows = _read_rows(out)
     assert len(rows) == 5 * 60
     assert all(float(r["unitarity_defect"]) < 1e-10 for r in rows)
+
+
+@pytest.mark.parametrize("number, columns, n_rows", [
+    (2, ["delta0_over_omega", "k_over_omega", "k_over_delta0", "eps_t",
+         "remnant_r13", "error"], 4 * 60),
+    (6, ["delta0_over_omega", "tau_echo", "overall_eff", "error"], 10 * 57),
+    (7, ["eta", "trace", "tau", "abs_e", "error"], 4408),
+])
+def test_figure_data_sets(tmp_path, number, columns, n_rows):
+    out = str(tmp_path / "f.csv")
+    assert main(["figure", str(number), "--out", out]) == 0
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == columns
+    assert len(rows) == n_rows
+    assert not any(r["error"] for r in rows)
+
+
+def test_figures_2_and_3_are_one_data_set(tmp_path):
+    out2, out3 = str(tmp_path / "f2.csv"), str(tmp_path / "f3.csv")
+    assert main(["figure", "2", "--out", out2]) == 0
+    assert main(["figure", "3", "--out", out3]) == 0
+    with open(out2, "rb") as f2, open(out3, "rb") as f3:
+        assert f2.read() == f3.read()
+
+
+def test_gamma_factor_sweep_matches_closed_form(tmp_path):
+    # eta = 1, tau_st = 0: the light shift dephases over the whole tau_echo
+    cfg = _write(tmp_path, "c.cfg", "optical_kind = gaussian\n"
+                 "optical_width = 0.1\ntau_echo = 50\n"
+                 "observable = gamma_factor\nsweep_axis1 = delta01\n"
+                 "sweep_values1 = 2,5,10\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["switch-off", "--config", cfg, "--out", out]) == 0
+    for row in _read_rows(out):
+        r2 = 1.0 / float(row["delta01"]) ** 2
+        want = math.exp(-0.25 * r2 * r2 * 2.0 * (0.1 * 50.0) ** 2)
+        assert float(row["gamma_factor"]) == pytest.approx(want, rel=1e-12)
+
+
+def test_efficiency_map_command(tmp_path):
+    cfg = _write(tmp_path, "c.cfg", "delta01 = 10\nk_off = 5\nk_on = 50\n"
+                 "optical_depth = 20\noptical_kind = gaussian\n"
+                 "optical_width = 0.1\nsweep_axis1 = tau_echo\n"
+                 "sweep_values1 = 20:200:4\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["efficiency-map", "--config", cfg, "--out", out]) == 0
+    rows = _read_rows(out)
+    assert list(rows[0]) == ["tau_echo", "overall_eff", "error"]
+    broad = BroadeningSpec(optical_kind="gaussian", optical_width=0.1)
+    for row in rows:
+        p = PhysicalParams.make(delta01=10.0, k_off=5.0, k_on=50.0,
+                                optical_depth=20.0,
+                                tau_echo=float(row["tau_echo"]))
+        want = efficiency.overall_efficiency(p, broad).total
+        assert float(row["overall_eff"]) == want
+    eff = [float(r["overall_eff"]) for r in rows]
+    assert eff == sorted(eff, reverse=True)   # longer dephasing window
+
+
+def test_eps_t_spectral_classes(tmp_path):
+    # delta0 = 3, k = 50.  The switch-off sweep's eps_t takes the unshifted
+    # class (Delta1 = 0), near its fast limit 1/(1 + (W/delta0)^2) = 0.9.
+    # The figure 2/3 data set, remnant_r13 and the efficiency budget take
+    # the light-shifted line centre, Delta1 = W^2/delta0.
+    cfg = _write(tmp_path, "c.cfg", "delta01 = 3\nsweep_axis1 = k_off\n"
+                 "sweep_values1 = 50\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["switch-off", "--config", cfg, "--out", out]) == 0
+    unshifted = float(_read_rows(out)[0]["eps_t"])
+    assert unshifted == pytest.approx(0.9004, abs=5e-5)
+    assert abs(unshifted - 1.0 / (1.0 + 1.0 / 9.0)) <= 1e-3
+    fig = str(tmp_path / "f2.csv")
+    assert main(["figure", "2", "--out", fig]) == 0
+    row = _read_rows(fig)[59]                 # delta0 = 3, last k
+    assert float(row["delta0_over_omega"]) == 3.0
+    assert float(row["k_over_omega"]) == pytest.approx(50.0)
+    shifted = float(row["eps_t"])
+    assert shifted == pytest.approx(0.8771, abs=5e-5)
+    p = PhysicalParams.make(delta01=3.0, k_off=50.0)
+    assert efficiency.overall_efficiency(p, BroadeningSpec()).eps_t \
+        == shifted
+    remnant = float(row["remnant_r13"])
+    assert remnant == pytest.approx(1.0 - shifted, abs=1e-12)
+    assert run_sweep(SweepSpec(axes=(("k_off", np.array([50.0])),),
+                               observable="remnant_r13"),
+                     p, BroadeningSpec())[0][0]["remnant_r13"] == remnant
 
 
 def test_figure_rejects_unknown_number():

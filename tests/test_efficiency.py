@@ -81,7 +81,7 @@ def test_absorption_peak_sits_on_line_center():
 def test_effective_linewidth_modes():
     p = PhysicalParams.make(omega1_rabi=1.0, delta01=10.0, gamma21=0.02,
                             gamma31=3.0)
-    assert effective_linewidth(p, 1) == pytest.approx(0.02 + 3.0 * 0.01)
+    assert effective_linewidth(p) == pytest.approx(0.02 + 3.0 * 0.01)
 
 
 def test_resolve_coupling_roundtrip():

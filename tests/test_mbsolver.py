@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from ramanecho import mbsolver
 from ramanecho.efficiency import (
     complex_line_depth,
     eps_tilde,
-    overall_efficiency,
     resolve_coupling,
 )
 from ramanecho.mbsolver import (
@@ -214,6 +214,27 @@ def test_full_read_rejects_coarse_step():
                                 t_end=1.0, dtau=0.1)
 
 
+@pytest.mark.parametrize("model", ["reduced", "full"])
+def test_read_rejects_unknown_direction_before_marching(model, monkeypatch):
+    def no_march(*args):
+        raise AssertionError("the read march ran before the direction check")
+    monkeypatch.setattr(mbsolver, "_rk4_march", no_march)
+    p = PhysicalParams.make(delta01=10.0, beta=10.0)
+    nodes, weights = quadrature_nodes(gaussian_shape(0.05), 4)
+    z = np.linspace(0.0, 1.0, 9)
+    spin = np.ones((9, 4), complex)
+    with pytest.raises(DomainError):
+        if model == "reduced":
+            simulate_retrieval_reduced(p, gaussian_shape(0.05), spin, z,
+                                       nodes, weights, t_end=1.0, dtau=0.05,
+                                       direction="backwards")
+        else:
+            simulate_retrieval_full(p, gaussian_shape(0.05),
+                                    np.zeros_like(spin), spin, z, nodes,
+                                    np.zeros(4), weights, t_end=1.0,
+                                    direction="backwards")
+
+
 # ---------- shared march ----------
 
 @pytest.mark.parametrize("sign", [+1, -1])
@@ -273,8 +294,10 @@ def test_spectral_echo_scaling_prefactor():
 
 
 def test_spectral_echo_requires_matched_scalings():
+    # omega2/delta02 equal to omega1/delta01 at eta = 2: the coupling ratio
+    # lacks its sqrt(eta)
     p = PhysicalParams.make(delta01=20.0, eta=2.0, optical_depth=5.0,
-                            eta_prime=3.0)
+                            omega2_rabi=1.0)
     p = resolve_coupling(p, GAUSS24)
     nu = np.linspace(-0.5, 0.5, 11)
     env = FieldEnvelope(samples=np.ones(11, complex), axis=nu, kind="freq")

@@ -28,7 +28,6 @@ def test_make_fills_read_stage_defaults():
     p = PhysicalParams.make(omega1_rabi=0.5, delta01=12.0, eta=4.0)
     assert p.omega2_rabi == pytest.approx(2.0 * 0.5)
     assert p.delta02 == 12.0
-    assert p.eta_prime == 4.0
 
 
 def test_make_explicit_values_win():
@@ -40,7 +39,6 @@ def test_make_explicit_values_win():
 
 @pytest.mark.parametrize("kw", [
     {"eta": 0.0},
-    {"eta_prime": -1.0},
     {"delta01": 0.0},
     {"delta02": 0.0},
     {"k_off": 0.0},
