@@ -2,8 +2,8 @@
 
 Layout:
     params      parameter records, line shapes, envelopes, config parsing
-    specfun     complex-order Bessel / complex gamma machinery
-    switching   closed-form control switch-off / switch-on transients
+    specfun     complex-order Bessel / complex gamma (the switch-map oracle)
+    switching   control switch-off / switch-on maps as 0F1 series
     mbsolver    full and reduced propagation solvers, storage/retrieval runs
     efficiency  absorption profiles and the factorised echo-efficiency model
     strcheck    time-rescaled retrieval transforms, residuals, fidelity

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import efficiency, mbsolver, strcheck, switching
 from .params import (BROADENING_KEYS, BroadeningSpec, ConfigError,
-                     DomainError, PhysicalParams, broadening_from_config,
-                     load_config, params_from_config)
+                     DomainError, PhysicalParams, _coerce,
+                     broadening_from_config, load_config, params_from_config)
 
 OBSERVABLES = ("remnant_r13", "eps_t", "eps_r", "gamma_factor",
                "overall_eff", "fidelity")
@@ -185,7 +185,7 @@ def _pipeline_kwargs(options: dict) -> dict:
                             ("pipeline_sigma_t", float, "sigma_t"),
                             ("pipeline_t_peak", float, "t_peak")):
         if key in options:
-            kw[dest] = cast(options[key])
+            kw[dest] = _coerce(key, options[key], cast)
     return kw
 
 
@@ -303,14 +303,12 @@ def cmd_pipeline(args) -> int:
 def cmd_str_check(args) -> int:
     cfg = read_cli_config(args.config)
     p = efficiency.resolve_coupling(cfg.params, cfg.broadening)
-    dtau = float(cfg.options.get("pipeline_dtau", 0.02))
-    t_axis = np.linspace(0.0, p.tau0, int(round(p.tau0 / dtau)) + 1)
-    env = mbsolver.gaussian_input(float(cfg.options.get("pipeline_t_peak",
-                                                        0.35 * p.tau0)),
-                                  float(cfg.options.get("pipeline_sigma_t",
-                                                        0.1 * p.tau0)),
-                                  t_axis)
-    n_nodes = int(cfg.options.get("pipeline_nodes", 24))
+    kw = _pipeline_kwargs(cfg.options)
+    dtau = kw.get("dtau", 0.02)
+    env = mbsolver.gaussian_input(kw.get("t_peak", 0.35 * p.tau0),
+                                  kw.get("sigma_t", 0.1 * p.tau0),
+                                  mbsolver.time_axis(p.tau0, dtau))
+    n_nodes = kw.get("n_nodes", 24)
     storage = mbsolver.simulate_storage_reduced(
         p, cfg.broadening, env, t_end=p.tau0, dtau=dtau, n_nodes=n_nodes,
         nz=40, m_subset=(list(range(1, 40, 8)), list(range(1, n_nodes, 3))))

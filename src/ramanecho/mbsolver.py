@@ -39,6 +39,7 @@ __all__ = [
     "PipelineResult",
     "graded_z_grid",
     "gaussian_input",
+    "time_axis",
     "simulate_storage_reduced",
     "simulate_retrieval_reduced",
     "simulate_storage_full",
@@ -197,11 +198,29 @@ def _sample_input(env: FieldEnvelope | None, tau: np.ndarray):
 
 # ===================== shared stage set-up and march =====================
 
-def _stage_grid(params, t_end, dtau, fastest, limit, direction):
-    """Uniform time grid of one stage run, with the sign of its field
-    integral and the z index where the field leaves: +1 and Z = L forward,
-    -1 and Z = 0 backward.  Every run needs beta resolved, a known direction
-    and a step that resolves its fastest rate, dtau * fastest <= limit."""
+# Largest (time samples x z points) of one run: 1e7 complex elements are
+# 160 MB per (tau, z) history array of a reduced stage.
+MAX_GRID_ELEMENTS = 10_000_000
+
+
+def time_axis(t_end: float, dtau: float, nz: int = 1) -> np.ndarray:
+    """Axis from 0 to t_end at step ~dtau (at least two points), checked
+    before it is allocated: dtau and t_end finite and > 0, and the axis
+    times nz z points within MAX_GRID_ELEMENTS."""
+    if not (0 < dtau < math.inf and t_end > 0
+            and (t_end / dtau + 1) * nz <= MAX_GRID_ELEMENTS):
+        raise DomainError(f"time axis needs finite dtau, t_end > 0 and <= "
+                          f"{MAX_GRID_ELEMENTS:.0e} grid elements; got dtau ="
+                          f" {dtau!r}, t_end = {t_end!r} on {nz} z points")
+    return np.linspace(0.0, t_end, max(int(round(t_end / dtau)) + 1, 2))
+
+
+def _stage_grid(params, t_end, dtau, fastest, limit, direction, nz):
+    """Uniform time grid of one stage run on nz z points, with the sign of
+    its field integral and the z index where the field leaves: +1 and Z = L
+    forward, -1 and Z = 0 backward.  Every run needs beta resolved, a known
+    direction and a step that resolves its fastest rate, dtau * fastest <=
+    limit."""
     if params.beta <= 0:
         raise DomainError("params.beta must be resolved (> 0) before a run; "
                           "see efficiency.resolve_coupling")
@@ -211,7 +230,7 @@ def _stage_grid(params, t_end, dtau, fastest, limit, direction):
     if dtau * fastest > limit:
         raise DomainError(f"time step {dtau:g} too coarse for rate "
                           f"{fastest:g} (need dtau * rate <= {limit:g})")
-    tau = np.linspace(0.0, t_end, int(round(t_end / dtau)) + 1)
+    tau = time_axis(t_end, dtau, nz)
     return (tau, -1, 0) if direction == "backward" else (tau, +1, -1)
 
 
@@ -338,11 +357,11 @@ def simulate_storage_reduced(params: PhysicalParams,
                           "|delta01| must exceed the Rabi frequency and "
                           "broadening widths")
     d_nodes, weights = quadrature_nodes(broadening, n_nodes, line="raman")
-    grid = _stage_grid(params, t_end, dtau,
-                       np.max(np.abs(d_nodes)) + params.gamma21, 0.5,
-                       "forward")
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
+    grid = _stage_grid(params, t_end, dtau,
+                       np.max(np.abs(d_nodes)) + params.gamma21, 0.5,
+                       "forward", len(z))
     return _reduced_stage(params, grid, "forward", z, d_nodes, weights,
                           input_field, 1, np.zeros((len(z), len(d_nodes))),
                           m_subset)
@@ -367,7 +386,7 @@ def simulate_retrieval_reduced(params: PhysicalParams,
     reabsorption penalty."""
     grid = _stage_grid(params, t_end, dtau,
                        np.max(np.abs(params.eta * d_nodes)) + params.gamma21,
-                       0.5, direction)
+                       0.5, direction, len(z))
     return _reduced_stage(params, grid, direction, z, d_nodes, weights, None,
                           2, m_initial, m_subset)
 
@@ -388,6 +407,12 @@ def _raw_two_photon(params, d_nodes, stage):
     d = np.atleast_1d(d_nodes)
     target = d if stage == 1 else -params.eta * d
     return stark_shifted_detuning(params, target, stage, inverse=True)
+
+
+def _ramp_rate(schedule) -> float:
+    """Largest ramp rate of a control schedule; 0 without one."""
+    return max((seg.rate for seg in schedule or ()
+                if seg.kind != "constant"), default=0.0)
 
 
 def _full_stage(params, grid, direction, z, Delta1, delta1, weights, env,
@@ -439,18 +464,19 @@ def simulate_storage_full(params: PhysicalParams,
                           nz: int = 48,
                           control_schedule=None) -> FullStageResult:
     """Write-stage run of the full three-level model (no adiabatic
-    elimination).  The optical coherence turns at up to
-    fastest = |delta01 + delta1| + Omega1; RK4 resolves it while
-    dtau * fastest <= 0.2, and the default step is 0.15 / fastest."""
+    elimination).  fastest = |delta01 + delta1| + Omega1 + the largest ramp
+    rate of control_schedule; RK4 resolves the optical phase and the ramp
+    while dtau * fastest <= 0.2, and the default step is 0.15 / fastest."""
     Dg, og, wg, d_nodes = _full_ensemble(params, broadening, n_nodes,
                                          n_optical)
     Delta1 = _raw_two_photon(params, Dg, 1)
-    fastest = np.max(np.abs(params.delta01 + og)) + params.omega1_rabi
+    fastest = (np.max(np.abs(params.delta01 + og)) + params.omega1_rabi
+               + _ramp_rate(control_schedule))
     if dtau is None:
         dtau = 0.15 / fastest
-    grid = _stage_grid(params, t_end, dtau, fastest, 0.2, "forward")
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
+    grid = _stage_grid(params, t_end, dtau, fastest, 0.2, "forward", len(z))
     return _full_stage(params, grid, "forward", z, Delta1, og, wg,
                        input_field, control_schedule, 1,
                        np.zeros((2, len(z), len(Delta1))))
@@ -467,12 +493,12 @@ def simulate_retrieval_full(params: PhysicalParams,
                             direction: str = "backward") -> FullStageResult:
     """Read-stage run of the full model from prepared coherence arrays.
     Delta1_grid must already be the stage-2 raw two-photon detunings.  The
-    step follows the write-stage rule with delta02 and Omega2:
-    dtau * (|delta02 + delta1| + Omega2) <= 0.2, default 0.15 / that rate."""
-    fastest = np.max(np.abs(params.delta02 + delta1_grid)) + params.omega2_rabi
+    step follows the write-stage rule with delta02, Omega2 and the schedule."""
+    fastest = (np.max(np.abs(params.delta02 + delta1_grid))
+               + params.omega2_rabi + _ramp_rate(control_schedule))
     if dtau is None:
         dtau = 0.15 / fastest
-    grid = _stage_grid(params, t_end, dtau, fastest, 0.2, direction)
+    grid = _stage_grid(params, t_end, dtau, fastest, 0.2, direction, len(z))
     return _full_stage(params, grid, direction, z, Delta1_grid, delta1_grid,
                        weights, None, control_schedule, 2,
                        np.stack([r13_init, r12_init]))
@@ -574,9 +600,7 @@ def run_pipeline(params: PhysicalParams, broadening: BroadeningSpec, *,
     p = params
     if p.beta <= 0:
         p = efficiency.resolve_coupling(p, broadening)
-    nt_in = max(int(round(p.tau0 / dtau)) + 1, 2)
-    t_axis = np.linspace(0.0, p.tau0, nt_in)
-    env_in = gaussian_input(t_peak, sigma_t, t_axis)
+    env_in = gaussian_input(t_peak, sigma_t, time_axis(p.tau0, dtau))
     storage = simulate_storage_reduced(p, broadening, env_in, t_end=p.tau0,
                                        dtau=dtau, n_nodes=n_nodes, nz=nz,
                                        m_subset=m_subset)

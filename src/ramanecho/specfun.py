@@ -1,9 +1,11 @@
-"""Complex-parameter special functions used by the switch-dynamics solutions.
+"""Complex-parameter special functions: the independent oracle of the
+switch maps.
 
-The closed-form switch transients live on Bessel functions whose ORDER is
+The textbook switch transients live on Bessel functions whose ORDER is
 complex (order imaginary part = detuning ratio / 2) while the argument stays
-real and moderate (Rabi frequency over switch rate).  scipy only exposes real
-orders, hence this module.
+real and moderate (Rabi frequency over switch rate).  `switching` evaluates
+them as 0F1 series instead; the tests check those against the Bessel form
+built from this module.  scipy only exposes real orders, hence this module.
 
 Accuracy targets (validated against 50-digit reference values): gamma better
 than 1e-12 for |z| <= 100; Bessel better than 1e-10 for arguments up to 20
@@ -13,9 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
-from scipy.integrate import solve_ivp
+import sys
 
 from .params import DomainError
 
@@ -23,14 +23,12 @@ __all__ = [
     "complex_gamma",
     "reciprocal_gamma",
     "bessel_j",
-    "bessel_cross_product_m",
 ]
 
-# Order imaginary parts beyond this are outside the regime the switch
-# solutions can represent in double precision (the cross-product normaliser
-# overflows near |Im order| ~ 450; the contract guard sits far above the
-# physically sensible range).
-ORDER_IMAG_LIMIT = 1.0e4
+# sin(pi z), which the gamma reflection needs for Re z < 1/2, overflows once
+# pi |Im z| passes log(largest double): |Im z| ~ 225.9.  Reflected gamma
+# arguments and Bessel orders from there on raise DomainError.
+ORDER_IMAG_LIMIT = math.log(sys.float_info.max) / math.pi
 
 # g = 7, 8-term Lanczos coefficients (double-precision classic set)
 _LANCZOS_G = 7.0
@@ -51,6 +49,18 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
 
 
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z) of the reflection formula.  Within 0.05 of an integer n,
+    where math.pi * z rounds away the distance to the pole, it is taken as
+    (-1)^n sin(pi (z - n))."""
+    if abs(z.imag) >= ORDER_IMAG_LIMIT:
+        raise DomainError(f"sin(pi z) overflows at |Im z| = {abs(z.imag):g} "
+                          f">= {ORDER_IMAG_LIMIT:.4g}")
+    n = round(z.real)
+    n = n if abs(z - n) < 0.05 else 0
+    return (-1) ** n * cmath.sin(math.pi * (z - n))
+
+
 def complex_gamma(z: complex) -> complex:
     """Gamma function on the complex plane (Lanczos, reflection for
     Re z < 1/2).  Raises DomainError at the poles."""
@@ -59,7 +69,7 @@ def complex_gamma(z: complex) -> complex:
         raise DomainError(f"gamma pole at z = {z}")
     if z.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
+        return math.pi / (_sin_pi(z) * complex_gamma(1.0 - z))
     zz = z - 1.0
     x = 0.99999999999980993
     for i, c in enumerate(_LANCZOS):
@@ -74,7 +84,7 @@ def reciprocal_gamma(z: complex) -> complex:
     if _is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.real < 0.5:
-        return cmath.sin(math.pi * z) * complex_gamma(1.0 - z) / math.pi
+        return _sin_pi(z) * complex_gamma(1.0 - z) / math.pi
     g = complex_gamma(z)
     if g == 0:
         raise DomainError(f"gamma underflows to zero at z = {z}; "
@@ -157,6 +167,7 @@ def _bessel_direct(nu: complex, x: float) -> complex:
 def _bessel_ode(nu: complex, x: float, x0: float = _DIRECT_ARG_LIMIT) -> complex:
     """Continue J_nu from a trusted anchor by integrating its defining
     second-order equation (as a 4-dim real first-order system)."""
+    from scipy.integrate import solve_ivp  # lazily, as in switching
     j0 = _bessel_direct(nu, x0)
     j0m1 = _bessel_direct(nu - 1.0, x0)
     dj0 = j0m1 - (nu / x0) * j0
@@ -197,19 +208,3 @@ def bessel_j(order: complex, x: float) -> complex:
         return _bessel_direct(nu, x)
     return _bessel_ode(nu, x)
 
-
-def bessel_cross_product_m(alpha_tilde: complex, x: float) -> complex:
-    """Normaliser M of the switch-off solution: with p = (1 + i*alpha)/2,
-
-        M = J_p(x) J_{1-p}(x) + J_{-p}(x) J_{p-1}(x) = 2 sin(pi p) / (pi x).
-
-    Evaluated from the closed form (the Bessel cross-product identity);
-    the identity itself is exercised in the test suite.
-    """
-    alpha_tilde = complex(alpha_tilde)
-    x = float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"argument must be finite and > 0, got {x}")
-    p = 0.5 * (1.0 + 1j * alpha_tilde)
-    _check_order(p)
-    return 2.0 * cmath.sin(math.pi * p) / (math.pi * x)

@@ -1,58 +1,53 @@
 """Closed-form coherence dynamics through the control switch-off / switch-on.
 
-Both transients admit exact Bessel-function solutions once the control is an
-exponential of time.  Conventions used throughout:
+Both transients are exact once the control is an exponential of time.  Their
+Bessel form (orders +-p, normaliser 2 sin(pi p) / (pi x), (x/2)^{+-p} and
+gamma factors) cancels, by J_nu(x) = (x/2)^nu 0F1(;nu+1;-x^2/4) /
+Gamma(nu+1) (DLMF 10.16.9) and Gamma(p) Gamma(1-p) = pi / sin(pi p) (DLMF
+5.5.3), to a pair of 0F1(;b;-y) per map, entire in b:
 
 switch-off (write control ramps down, rate k):
     control(tau) = W0 * exp(-k * (tau - tau_switch)),  tau >= tau_switch
-    x  = W0 / k
+    x  = W0 / k,  y = x^2 / 4
     alpha = (delta0 + delta1 - Delta1 - i*(gamma31 - gamma21)) / k
     p  = (1 + i*alpha) / 2
-    chi(tau) = x * exp(-k * (tau - tau_switch))        (runs x -> 0)
 
     The rotating-frame amplitudes P (spin) and Q (optical), defined by
         r12(tau) = exp(-(i*Delta1 + gamma21)(tau - tau_switch)) * P
         r13(tau) = exp(-(i*(delta0 + delta1) + gamma31)(tau - tau_switch)) * Q
-    evolve as
-        P = chi^p  [a J_p(chi)     + b J_{-p}(chi)]
-        Q = (i/c) chi^{1-p} [a J_{p-1}(chi) - b J_{1-p}(chi)],  c = x^{-i*alpha}
-    with constants fixed by the state at the switch time,
-        a = x^{-p} [r12 J_{1-p}(x) - i r13 J_{-p}(x)] / M
-        b = x^{-p} [i r13 J_p(x)   + r12 J_{p-1}(x)] / M
-        M = J_p J_{1-p} + J_{-p} J_{p-1} = 2 sin(pi p) / (pi x).
-    Final amplitudes (chi -> 0):
-        P_inf = (x/2)^{-p}   [i r13 J_p(x)    + r12 J_{p-1}(x)] / (M Gamma(1-p))
-        Q_inf = i (x/2)^{p-1}[r12 J_{1-p}(x) - i r13 J_{-p}(x)] / (M Gamma(p))
+    start at (r12, r13) and end, once the control has gone, at
+        P_inf = r12 0F1(;p;-y)   + i r13 (x / 2p)       0F1(;p+1;-y)
+        Q_inf = r13 0F1(;1-p;-y) + i r12 (x / (2(1-p))) 0F1(;2-p;-y)
 
 switch-on (read control ramps up, rate k_on, from zero to W2):
     control(tau) = W2 * exp(k_on * (tau - tau_on)),  tau <= tau_on
-    x_on = W2 / k_on,  abar = delta02 / k_on,  q = (1 - i*abar) / 2
-        C12 = (x_on/2)^q Gamma(1-q) J_{-q}(x_on)
-        C13 = (x_on/2)^q Gamma(1-q) J_{1-q}(x_on)
+    x_on = W2 / k_on,  y_on = x_on^2 / 4,  q = (1 - i*delta02/k_on) / 2
+        C12 = 0F1(;1-q;-y_on)
+        C13 = (x_on/2) / (1-q) 0F1(;2-q;-y_on)
     A unit spin coherence entering the ramp leaves it as
         (r12, r13) = (C12, i * C13),
     with |C12|^2 + |C13|^2 = 1 exactly (no optical decay during the ramp).
 
-All formulas here were frozen against independent 50-digit ODE integration
-before being written down.
+Domain.  Each 0F1 is its ratio series summed in double precision, with
+rounding about eps times its largest term.  A map whose eps * sum(largest
+|term| * |coefficient|) exceeds _ROUNDING_LIMIT = 1e-8 of its pair's norm
+raises DomainError: the norm, not each amplitude, as a small P_inf is
+physical.  Slow switches get there, once Omega^2 / (2 k delta0) passes
+about 20 (at Omega = 1: k < 0.0025 at delta0 = 10, k < 0.012 at delta0 = 2,
+delta0 < 0.07 at k = 0.05, nowhere for k >= 0.1).  The tests check the
+forms against 50-digit ODE integration and mpmath's hyp0f1.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
-
 from .params import DomainError, PhysicalParams
-from .specfun import (bessel_cross_product_m, bessel_j, complex_gamma,
-                      reciprocal_gamma)
 
 __all__ = [
     "CoherencePair",
     "SwitchOnCoefficients",
     "init_coherence_after_storage",
-    "switch_off_coherences",
     "switch_off_asymptotic",
     "switch_off_ode_oracle",
     "transfer_efficiency",
@@ -64,6 +59,10 @@ __all__ = [
 # Below this control-to-switch-rate ratio the ramp is over before anything
 # precesses: the map is the identity to double precision.
 _FAST_X_CUTOFF = 1e-10
+# Largest estimated rounding of a map, relative to the norm of its pair; a
+# series term beyond the ceiling has failed it already (stop before overflow)
+_ROUNDING_LIMIT = 1e-8
+_TERM_CEILING = 1e250
 
 
 @dataclass(frozen=True)
@@ -117,76 +116,90 @@ def init_coherence_after_storage(params: PhysicalParams, delta1: float,
     return CoherencePair(r12=r12, r13=zeta13 * r12)
 
 
+# ===================== the series =====================
+
+def _hyp0f1(b: complex, y: float):
+    """(0F1(;b;-y), largest |term|) from the ratio series of
+    sum_n (-y)^n / ((b)_n n!) in plain complex arithmetic, summed until the
+    terms fall below 1e-17 of the largest past n = -Re b."""
+    if b.imag == 0.0 and b.real <= 0.0 and b.real % 1.0 == 0.0:
+        raise DomainError(f"0F1 parameter {b} is a pole")
+    term = total = 1.0 + 0.0j
+    big = 1.0
+    n = 0
+    while True:
+        term *= -y / ((b + n) * (n + 1))
+        n += 1
+        total += term
+        mag = abs(term)
+        if not mag <= big:                # NaN too: the limit rejects it
+            big = mag
+            if not big <= _TERM_CEILING:
+                break
+        elif mag < 1e-17 * big and n > -b.real:
+            break
+    return total, big
+
+
+def _check_rounding(weighted_terms: float, norm: float, what: str) -> None:
+    """DomainError past the rounding limit (module docstring, Domain)."""
+    err = math.ulp(1.0) * weighted_terms
+    if not err <= _ROUNDING_LIMIT * norm:
+        raise DomainError(
+            f"{what} map too ill-conditioned for double precision: "
+            f"estimated rounding {err:.1e} exceeds {_ROUNDING_LIMIT:g} of "
+            f"the pair's norm {norm:.3g} (slow switch near resonance)")
+
+
 # ===================== switch-off =====================
-
-def _off_geometry(params: PhysicalParams, delta1: float, Delta1: float):
-    k = params.k_off
-    x = params.omega1_rabi / k
-    alpha = (params.delta01 + delta1 - Delta1
-             - 1j * (params.gamma31 - params.gamma21)) / k
-    p = 0.5 * (1.0 + 1j * alpha)
-    return x, alpha, p
-
 
 def switch_off_asymptotic(params: PhysicalParams, initial: CoherencePair,
                           delta1: float, Delta1: float) -> CoherencePair:
     """Rotating-frame amplitudes (P_inf, Q_inf) left after the write control
     has fully ramped down.  Free phase/decay accumulated since the switch
     time is NOT included; apply it separately over the storage interval."""
-    x, alpha, p = _off_geometry(params, delta1, Delta1)
+    k = params.k_off
+    x = params.omega1_rabi / k
     if x < _FAST_X_CUTOFF:
         return initial
-    m = bessel_cross_product_m(alpha, x)
-    jp = bessel_j(p, x)
-    jpm1 = bessel_j(p - 1.0, x)
-    j1mp = bessel_j(1.0 - p, x)
-    jmp = bessel_j(-p, x)
-    lg_half = cmath.log(0.5 * x)
-    # grouped to keep intermediates inside double range for |Im p| ~ 200
-    p_inf = cmath.exp(-p * lg_half) * (1j * initial.r13 * jp
-                                       + initial.r12 * jpm1) \
-        * reciprocal_gamma(1.0 - p) / m
-    q_inf = 1j * cmath.exp((p - 1.0) * lg_half) * (initial.r12 * j1mp
-                                                   - 1j * initial.r13 * jmp) \
-        * reciprocal_gamma(p) / m
-    if not (cmath.isfinite(p_inf) and cmath.isfinite(q_inf)):
-        raise DomainError(
-            "switch-off amplitudes overflow double precision; the "
-            "detuning-to-switch-rate ratio is outside the supported range")
-    return CoherencePair(r12=p_inf, r13=q_inf)
+    alpha = (params.delta01 + delta1 - Delta1
+             - 1j * (params.gamma31 - params.gamma21)) / k
+    p = 0.5 * (1.0 + 1j * alpha)
+    y = 0.25 * x * x
+    f_p, big_p = _hyp0f1(p, y)
+    f_p1, big_p1 = _hyp0f1(p + 1.0, y)
+    f_q, big_q = _hyp0f1(1.0 - p, y)
+    f_q1, big_q1 = _hyp0f1(2.0 - p, y)
+    r12, r13 = initial.r12, initial.r13
+    c_p1 = 0.5j * x / p * r13
+    c_q1 = 0.5j * x / (1.0 - p) * r12
+    _check_rounding(abs(r12) * big_p + abs(c_p1) * big_p1
+                    + abs(r13) * big_q + abs(c_q1) * big_q1,
+                    math.sqrt(initial.norm_sq), "switch-off")
+    return CoherencePair(r12=r12 * f_p + c_p1 * f_p1,
+                         r13=r13 * f_q + c_q1 * f_q1)
 
 
-def switch_off_coherences(params: PhysicalParams, initial: CoherencePair,
-                          delta1: float, Delta1: float,
-                          tau_since: float) -> CoherencePair:
-    """Exact coherences a time tau_since after the write control started its
-    exponential ramp-down, free evolution included."""
-    if tau_since < 0:
-        raise DomainError("tau_since must be >= 0")
-    x, alpha, p = _off_geometry(params, delta1, Delta1)
-    phase12 = cmath.exp(-(1j * Delta1 + params.gamma21) * tau_since)
-    phase13 = cmath.exp(-(1j * (params.delta01 + delta1) + params.gamma31)
-                        * tau_since)
-    if x < _FAST_X_CUTOFF:
-        return CoherencePair(r12=phase12 * initial.r12,
-                             r13=phase13 * initial.r13)
-    chi = x * math.exp(-params.k_off * tau_since)
-    m = bessel_cross_product_m(alpha, x)
-    xmp = cmath.exp(-p * cmath.log(x))
-    a = xmp * (initial.r12 * bessel_j(1.0 - p, x)
-               - 1j * initial.r13 * bessel_j(-p, x)) / m
-    b = xmp * (1j * initial.r13 * bessel_j(p, x)
-               + initial.r12 * bessel_j(p - 1.0, x)) / m
-    c_inv = cmath.exp(1j * alpha * cmath.log(x))
-    if chi == 0.0:
-        tail = switch_off_asymptotic(params, initial, delta1, Delta1)
-        return CoherencePair(r12=phase12 * tail.r12, r13=phase13 * tail.r13)
-    lchi = cmath.log(chi)
-    p_amp = cmath.exp(p * lchi) * (a * bessel_j(p, chi)
-                                   + b * bessel_j(-p, chi))
-    q_amp = 1j * c_inv * cmath.exp((1.0 - p) * lchi) \
-        * (a * bessel_j(p - 1.0, chi) - b * bessel_j(1.0 - p, chi))
-    return CoherencePair(r12=phase12 * p_amp, r13=phase13 * q_amp)
+def _ode_pair(c13, c12, w0, rate, span, initial, rtol, what):
+    """DOP853 integration of dr13/dt = c13 r13 + i W r12, dr12/dt =
+    c12 r12 + i W r13 with W = w0 exp(rate t) over span, from initial."""
+    from scipy.integrate import solve_ivp  # lazily: ~25 MB, oracles only
+
+    def rhs(t, y):
+        r13 = complex(y[0], y[1])
+        r12 = complex(y[2], y[3])
+        w = w0 * math.exp(rate * t)
+        d13 = c13 * r13 + 1j * w * r12
+        d12 = c12 * r12 + 1j * w * r13
+        return [d13.real, d13.imag, d12.real, d12.imag]
+
+    y0 = [initial.r13.real, initial.r13.imag,
+          initial.r12.real, initial.r12.imag]
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=1e-14)
+    if not sol.success:
+        raise DomainError(f"{what} oracle failed: {sol.message}")
+    y = sol.y[:, -1]
+    return CoherencePair(r12=complex(y[2], y[3]), r13=complex(y[0], y[1]))
 
 
 def switch_off_ode_oracle(params: PhysicalParams, initial: CoherencePair,
@@ -194,38 +207,20 @@ def switch_off_ode_oracle(params: PhysicalParams, initial: CoherencePair,
                           horizon: float | None = None,
                           rtol: float = 1e-10) -> CoherencePair:
     """Brute-force integration of the two-level system through the ramp-down;
-    the independent check for switch_off_coherences.  horizon defaults to
+    the independent check for switch_off_asymptotic.  horizon defaults to
     25/k_off, by which point the control is ~1e-11 of its initial value."""
     k = params.k_off
     if horizon is None:
         horizon = 25.0 / k
     if horizon < 20.0 / k:
         raise DomainError("oracle horizon must be >= 20 / k_off")
-    w0 = params.omega1_rabi
-    c13 = -(1j * (params.delta01 + delta1) + params.gamma31)
-    c12 = -(1j * Delta1 + params.gamma21)
-
-    def rhs(t, y):
-        r13 = complex(y[0], y[1])
-        r12 = complex(y[2], y[3])
-        w = w0 * math.exp(-k * t)
-        d13 = c13 * r13 + 1j * w * r12
-        d12 = c12 * r12 + 1j * w * r13
-        return [d13.real, d13.imag, d12.real, d12.imag]
-
-    y0 = [initial.r13.real, initial.r13.imag,
-          initial.r12.real, initial.r12.imag]
-    sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853",
-                    rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise DomainError(f"switch-off oracle failed: {sol.message}")
-    y = sol.y[:, -1]
-    return CoherencePair(r12=complex(y[2], y[3]), r13=complex(y[0], y[1]))
+    return _ode_pair(-(1j * (params.delta01 + delta1) + params.gamma31),
+                     -(1j * Delta1 + params.gamma21), params.omega1_rabi,
+                     -k, (0.0, horizon), initial, rtol, "switch-off")
 
 
 def transfer_efficiency(params: PhysicalParams, delta1: float = 0.0,
-                        Delta1: float = 0.0,
-                        initial: CoherencePair | None = None) -> float:
+                        Delta1: float = 0.0) -> float:
     """Fraction of the pre-switch excitation left in the spin coherence after
     the write control ramps down:
 
@@ -234,8 +229,7 @@ def transfer_efficiency(params: PhysicalParams, delta1: float = 0.0,
     Fast-switch limit (k >> W1): 1 / (1 + (W1/delta0)^2) on line centre.
     Decay during the ramp is excluded; it belongs to the storage-decay factor.
     """
-    if initial is None:
-        initial = init_coherence_after_storage(params, delta1, Delta1, 1.0)
+    initial = init_coherence_after_storage(params, delta1, Delta1, 1.0)
     if initial.norm_sq == 0:
         raise DomainError("initial coherence pair is identically zero")
     final = switch_off_asymptotic(params, initial, delta1, Delta1)
@@ -244,22 +238,19 @@ def transfer_efficiency(params: PhysicalParams, delta1: float = 0.0,
 
 # ===================== switch-on =====================
 
-def _on_geometry(params: PhysicalParams):
-    k = params.k_on
-    x_on = params.omega2_rabi / k
-    abar = params.delta02 / k
-    q = 0.5 * (1.0 - 1j * abar)
-    return x_on, abar, q
-
-
 def switch_on_coefficients(params: PhysicalParams) -> SwitchOnCoefficients:
     """Spin / optical partition coefficients after the read-control ramp."""
-    x_on, _, q = _on_geometry(params)
+    k = params.k_on
+    x_on = params.omega2_rabi / k
     if x_on < _FAST_X_CUTOFF:
         return SwitchOnCoefficients(c12=1.0 + 0.0j, c13=0.0 + 0.0j)
-    pref = cmath.exp(q * cmath.log(0.5 * x_on)) * complex_gamma(1.0 - q)
-    return SwitchOnCoefficients(c12=pref * bessel_j(-q, x_on),
-                                c13=pref * bessel_j(1.0 - q, x_on))
+    b = 0.5 * (1.0 + 1j * params.delta02 / k)            # 1 - q
+    y = 0.25 * x_on * x_on
+    f0, big0 = _hyp0f1(b, y)
+    f1, big1 = _hyp0f1(b + 1.0, y)
+    c = 0.5 * x_on / b
+    _check_rounding(big0 + abs(c) * big1, 1.0, "switch-on")
+    return SwitchOnCoefficients(c12=f0, c13=c * f1)
 
 
 def switch_on_efficiency(params: PhysicalParams) -> float:
@@ -270,9 +261,13 @@ def switch_on_efficiency(params: PhysicalParams) -> float:
 
     The optical part only contributes through its adiabatic weight, hence the
     (W2/delta02)^2 suppression.  Instantaneous switch-on gives eps_r -> 1.
+    The weight needs |delta02| > W2 (off resonance), or eps_r would pass 1.
     """
-    coeff = switch_on_coefficients(params)
     weight = params.omega2_rabi / params.delta02
+    if abs(weight) >= 1.0:
+        raise DomainError("eps_r needs an off-resonant read stage, "
+                          "|delta02| > omega2_rabi")
+    coeff = switch_on_coefficients(params)
     return abs(coeff.c12) ** 2 + abs(weight * coeff.c13) ** 2
 
 
@@ -282,22 +277,8 @@ def switch_on_ode_oracle(params: PhysicalParams) -> CoherencePair:
     adiabatically slaved optical coherence i*W(t0)/(k_on + i*delta02)."""
     k = params.k_on
     w2 = params.omega2_rabi
-    d02 = params.delta02
     t0 = -30.0 / k
-    w_init = w2 * math.exp(k * t0)
-    r13_0 = 1j * w_init / (k + 1j * d02)
-
-    def rhs(t, y):
-        r13 = complex(y[0], y[1])
-        r12 = complex(y[2], y[3])
-        w = w2 * math.exp(k * t)
-        d13 = -(1j * d02 + params.gamma31) * r13 + 1j * w * r12
-        d12 = -params.gamma21 * r12 + 1j * w * r13
-        return [d13.real, d13.imag, d12.real, d12.imag]
-
-    sol = solve_ivp(rhs, (t0, 0.0), [r13_0.real, r13_0.imag, 1.0, 0.0],
-                    method="DOP853", rtol=1e-10, atol=1e-14)
-    if not sol.success:
-        raise DomainError(f"switch-on oracle failed: {sol.message}")
-    y = sol.y[:, -1]
-    return CoherencePair(r12=complex(y[2], y[3]), r13=complex(y[0], y[1]))
+    r13_0 = 1j * w2 * math.exp(k * t0) / (k + 1j * params.delta02)
+    return _ode_pair(-(1j * params.delta02 + params.gamma31), -params.gamma21,
+                     w2, k, (t0, 0.0), CoherencePair(1.0 + 0.0j, r13_0),
+                     1e-10, "switch-on")

@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramanecho import efficiency
 from ramanecho.cli import (
@@ -218,16 +222,75 @@ def test_sweep_with_bad_point_exits_two(tmp_path):
     assert len(_read_rows(out)) == 3
 
 
-def test_switch_on_gamma_underflow_is_an_error_row(tmp_path):
-    # k_on = 0.03 puts Im q ~ 667: gamma(1 - q) underflows to zero
+def test_switch_on_slow_ramp_matches_mpmath(tmp_path):
+    # k_on = 0.03 puts Im q ~ 667, where gamma(1 - q) underflowed in the
+    # Bessel form; the 0F1 form evaluates it
     cfg = _write(tmp_path, "c.cfg", "delta02 = 40\nsweep_axis1 = k_on\n"
                  "sweep_values1 = 0.03:0.1:3\n")
     out = str(tmp_path / "o.csv")
-    assert main(["switch-on", "--config", cfg, "--out", out]) == 2
+    assert main(["switch-on", "--config", cfg, "--out", out]) == 0
     rows = _read_rows(out)
-    assert len(rows) == 3
-    assert math.isnan(float(rows[0]["eps_r"])) and rows[0]["error"]
-    assert all(0.0 < float(r["eps_r"]) <= 1.0 for r in rows[1:])
+    assert len(rows) == 3 and not any(r["error"] for r in rows)
+    mpmath.mp.dps = 40
+    b = 0.5 * (1 + 1j * mpmath.mpf(40) / mpmath.mpf("0.03"))      # 1 - q
+    x = 1 / mpmath.mpf("0.03")
+    c12 = mpmath.hyp0f1(b, -x * x / 4)
+    c13 = x / (2 * b) * mpmath.hyp0f1(b + 1, -x * x / 4)
+    want = float(abs(c12) ** 2 + abs(c13 / 40) ** 2)
+    assert float(rows[0]["eps_r"]) == pytest.approx(want, rel=1e-12)
+    assert float(abs(c12) ** 2 + abs(c13) ** 2) == pytest.approx(1.0,
+                                                                 rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["switch-off", "switch-on"]),
+       delta0=st.floats(0.3, 500.0),
+       ks=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=4))
+def test_switch_sweeps_end_in_values_or_error_rows(command, delta0, ks):
+    key, axis, col = {"switch-off": ("delta01", "k_off", "eps_t"),
+                      "switch-on": ("delta02", "k_on", "eps_r")}[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"{key} = {delta0!r}\nsweep_axis1 = {axis}\n"
+                     f"sweep_values1 = {','.join(repr(k) for k in ks)}\n")
+        out = os.path.join(tmp, "o.csv")
+        code = main([command, "--config", cfg, "--out", out])
+        rows = _read_rows(out)
+    assert code in (0, 2) and len(rows) == len(ks)
+    assert (code == 2) == any(r["error"] for r in rows)
+    for r in rows:
+        v = float(r[col])
+        if r["error"]:
+            assert math.isnan(v)
+        else:
+            assert 0.0 <= v <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("command", ["pipeline", "str-check"])
+@pytest.mark.parametrize("dtau", ["0", "-0.1", "1e-9", "nan", "inf", "abc"])
+def test_bad_time_step_exits_with_one_line(tmp_path, capsys, command, dtau):
+    base = PIPELINE_CFG if command == "pipeline" else STRCHECK_CFG
+    text = "\n".join(line for line in base.splitlines()
+                     if not line.startswith("pipeline_dtau"))
+    cfg = _write(tmp_path, "c.cfg", text + f"\npipeline_dtau = {dtau}\n")
+    assert main([command, "--config", cfg]) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_pipeline_past_the_old_overflow_edge(tmp_path):
+    # delta0 = 20, k_off = 0.04: |Im p| = 250, where the Bessel-form handoff
+    # overflowed after the whole write march
+    cfg = _write(tmp_path, "c.cfg", PIPELINE_CFG.replace(
+        "k_off = 500", "k_off = 0.04").replace("n_default = 121",
+                                                 "n_default = 41"))
+    out = str(tmp_path / "p.csv")
+    assert main(["pipeline", "--config", cfg, "--out", out]) == 0
+    row = _read_rows(out)[0]
+    assert float(row["eps_sim"]) == pytest.approx(float(row["eps_model"]),
+                                                  rel=0.05)
+    assert float(row["fidelity"]) > 0.99
 
 
 def test_missing_axes_exit_one(tmp_path):

@@ -25,6 +25,7 @@ from ramanecho.mbsolver import (
     simulate_storage_reduced,
     stage_handoff_multipliers,
     stored_excitation,
+    time_axis,
     write_schedule,
 )
 from ramanecho.params import (
@@ -179,6 +180,27 @@ def test_full_write_default_step_matches_fine_step(full_write_case):
     assert l2 < 1e-4
 
 
+def test_full_write_default_step_resolves_the_control_ramp():
+    # a k_off = 500 ramp-down is over in ~0.05: the default step must
+    # resolve it as well as the optical phase (it fell within one step of
+    # 0.15 / (|delta0| + Omega), 4e-4 off a fine step here)
+    broad = BroadeningSpec(raman_kind="gaussian", raman_width=0.3,
+                           rule="gauss", n_default=9)
+    p = PhysicalParams.make(delta01=10.0, optical_depth=5.0, tau0=2.0,
+                            k_off=500.0)
+    p = resolve_coupling(p, broad)
+    env = gaussian_input(1.0, 0.3, np.linspace(0.0, 2.1, 401))
+
+    def run(dtau=None):
+        return simulate_storage_full(
+            p, broad, env, t_end=2.1, n_nodes=9, nz=24, dtau=dtau,
+            control_schedule=write_schedule(p, 2.1))
+    res = run()
+    fine = run(dtau=(res.tau[1] - res.tau[0]) / 4.0)
+    err = np.max(np.abs(res.r12 - fine.r12)) / np.max(np.abs(fine.r12))
+    assert err < 1e-6
+
+
 def test_full_read_energy_theorem():
     p = PhysicalParams.make(delta01=10.0, optical_depth=2.0)
     p = resolve_coupling(p, GAUSS24)
@@ -233,6 +255,26 @@ def test_read_rejects_unknown_direction_before_marching(model, monkeypatch):
                                     np.zeros_like(spin), spin, z, nodes,
                                     np.zeros(4), weights, t_end=1.0,
                                     direction="backwards")
+
+
+@pytest.mark.parametrize("dtau", [0.0, -0.1, math.nan, math.inf, 1e-9])
+def test_bad_time_step_is_a_domain_error(dtau):
+    # 1e-9 would ask for ~7e10 time samples: rejected before allocation
+    p = PhysicalParams.make(delta01=20.0, tau0=70.0, optical_depth=2.0)
+    with pytest.raises(DomainError):
+        run_pipeline(p, UNIFORM161, dtau=dtau)
+    p = resolve_coupling(p, UNIFORM161)
+    env = gaussian_input(35.0, 10.0, np.linspace(0.0, 70.0, 561))
+    with pytest.raises(DomainError):
+        simulate_storage_reduced(p, UNIFORM161, env, t_end=70.0, dtau=dtau)
+
+
+def test_time_axis_budget():
+    assert np.array_equal(time_axis(1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert len(time_axis(1.0, 10.0)) == 2
+    time_axis(1.0, 1e-3, nz=mbsolver.MAX_GRID_ELEMENTS // 1001)
+    with pytest.raises(DomainError, match="grid elements"):
+        time_axis(1.0, 1e-3, nz=mbsolver.MAX_GRID_ELEMENTS // 1000)
 
 
 # ---------- shared march ----------

@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from ramanecho.params import DomainError
 from ramanecho.specfun import (
-    bessel_cross_product_m,
+    ORDER_IMAG_LIMIT,
     bessel_j,
     complex_gamma,
     reciprocal_gamma,
@@ -36,6 +36,8 @@ BESSEL_CASES = [
      -6628.681190560534666495375 + 7008.624584030143925992744j),
 ]
 
+# The normaliser M = J_p J_{1-p} + J_{-p} J_{p-1} = 2 sin(pi p) / (pi x) of
+# the Bessel form of the switch-off map, p = (1 + i alpha) / 2.
 CROSS_PRODUCT_CASES = [
     (1.5, 3.0, 1.129523087265483428869),
     (0.0, 1.0, 0.6366197723675813430755),
@@ -125,6 +127,28 @@ def test_bessel_rejects_runaway_imaginary_order():
         bessel_j(1e5j, 1.0)
 
 
+def test_order_next_to_a_negative_integer():
+    # a term of the series divides by m + nu ~ 4e-16 and amplifies the
+    # relative error of sin(pi z) at the reflection; J_{-2} = J_2
+    nu = -1.9999999999999996
+    assert _rel(bessel_j(nu, 1.0), bessel_j(2.0, 1.0)) < 1e-12
+    for z in (-1.0 + 1e-15, 3e-16 - 1e-17j, -4.0 - 2e-15):
+        want = complex(mpmath.rgamma(mpmath.mpc(z.real, z.imag)))
+        assert _rel(reciprocal_gamma(z), want) < 1e-13
+
+
+def test_reflection_overflow_is_a_domain_error():
+    # sin(pi z) overflows from |Im z| ~ 225.9 on; both used to raise a bare
+    # OverflowError there
+    assert 225.0 < ORDER_IMAG_LIMIT < 226.0
+    assert abs(bessel_j(-1.5 + 225.0j, 5.0)) > 0.0
+    with pytest.raises(DomainError):
+        bessel_j(-1.5 + 230.0j, 5.0)
+    for f in (reciprocal_gamma, complex_gamma):
+        with pytest.raises(DomainError):
+            f(-0.5 + 230.0j)
+
+
 def test_bessel_against_mpmath_including_large_argument():
     mpmath.mp.dps = 30
     orders = [0.3 + 0.4j, -1.2 + 2.0j, 2.5 - 1.5j, 0.5 + 0.5j,
@@ -161,7 +185,10 @@ def test_bessel_three_term_recurrence(re, im, x):
 
 @pytest.mark.parametrize("alpha,x,want", CROSS_PRODUCT_CASES)
 def test_cross_product_reference_values(alpha, x, want):
-    assert _rel(bessel_cross_product_m(complex(alpha), x), want) < 1e-12
+    p = 0.5 * (1.0 + 1j * alpha)
+    got = (bessel_j(p, x) * bessel_j(1.0 - p, x)
+           + bessel_j(-p, x) * bessel_j(p - 1.0, x))
+    assert _rel(got, want) < 1e-12
 
 
 @given(a_re=st.floats(-3.0, 3.0), a_im=st.floats(-1.5, 1.5),
@@ -172,5 +199,5 @@ def test_cross_product_matches_bessel_identity(a_re, a_im, x):
     p = 0.5 * (1.0 + 1j * alpha)
     lhs = (bessel_j(p, x) * bessel_j(1.0 - p, x)
            + bessel_j(-p, x) * bessel_j(p - 1.0, x))
-    rhs = bessel_cross_product_m(alpha, x)
+    rhs = 2.0 * cmath.sin(math.pi * p) / (math.pi * x)
     assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-8

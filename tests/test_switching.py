@@ -1,16 +1,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ramanecho import switching
 from ramanecho.params import DomainError, PhysicalParams
 from ramanecho.switching import (
     CoherencePair,
     init_coherence_after_storage,
     switch_off_asymptotic,
-    switch_off_coherences,
     switch_off_ode_oracle,
     switch_on_coefficients,
     switch_on_efficiency,
@@ -85,21 +86,6 @@ def test_switch_off_norm_conserved_property(k, d0, a_re, a_im, b_re, b_im):
     assert abs(got.norm_sq / init.norm_sq - 1.0) < 1e-10
 
 
-def test_switch_off_transient_reaches_asymptote():
-    case = OFF_CASE_1
-    p = case["params"]
-    tail = switch_off_asymptotic(p, case["initial"], case["delta1"],
-                                 case["Delta1"])
-    t = 30.0 / p.k_off
-    got = switch_off_coherences(p, case["initial"], case["delta1"],
-                                case["Delta1"], t)
-    # transient value = asymptote times the free phases at time t
-    ph12 = cmath.exp(-1j * case["Delta1"] * t)
-    ph13 = cmath.exp(-1j * (p.delta01 + case["delta1"]) * t)
-    assert _rel(got.r12, tail.r12 * ph12) < 1e-8
-    assert _rel(got.r13, tail.r13 * ph13) < 1e-8
-
-
 @pytest.mark.parametrize("case", [OFF_CASE_1, OFF_CASE_2],
                          ids=["lossless", "damped"])
 def test_switch_off_matches_brute_force(case):
@@ -107,11 +93,14 @@ def test_switch_off_matches_brute_force(case):
     ode = switch_off_ode_oracle(p, case["initial"], case["delta1"],
                                 case["Delta1"])
     t = 25.0 / p.k_off
-    got = switch_off_coherences(p, case["initial"], case["delta1"],
-                                case["Delta1"], t)
+    tail = switch_off_asymptotic(p, case["initial"], case["delta1"],
+                                 case["Delta1"])
+    # the oracle's state = asymptote times the free phases and decays at t
+    ph12 = cmath.exp(-(1j * case["Delta1"] + p.gamma21) * t)
+    ph13 = cmath.exp(-(1j * (p.delta01 + case["delta1"]) + p.gamma31) * t)
     scale = math.sqrt(case["initial"].norm_sq)
-    assert _rel(got.r12, ode.r12, scale) < 1e-7
-    assert _rel(got.r13, ode.r13, scale) < 1e-7
+    assert _rel(tail.r12 * ph12, ode.r12, scale) < 1e-7
+    assert _rel(tail.r13 * ph13, ode.r13, scale) < 1e-7
 
 
 def test_switch_off_fast_limit_freezes_the_state():
@@ -120,12 +109,6 @@ def test_switch_off_fast_limit_freezes_the_state():
     got = switch_off_asymptotic(p, init, 0.0, 0.0)
     assert got.r12 == init.r12
     assert got.r13 == init.r13
-
-
-def test_switch_off_rejects_negative_elapsed_time():
-    with pytest.raises(DomainError):
-        switch_off_coherences(OFF_CASE_1["params"], OFF_CASE_1["initial"],
-                              0.0, 0.0, -1.0)
 
 
 def test_ode_oracle_rejects_short_horizon():
@@ -217,3 +200,62 @@ def test_switch_on_instant_limit_keeps_everything_in_the_spin():
     co = switch_on_coefficients(p)
     assert co.c12 == 1.0 + 0.0j
     assert co.c13 == 0.0 + 0.0j
+
+
+# ---------- the 0F1 series and its domain ----------
+
+@pytest.mark.parametrize("b,y", [
+    (0.5 + 1000.0j, 2500.0), (0.5 - 1000.0j, 10.0), (0.5 + 250.0j, 625.0),
+    (1.5 - 250.0j, 625.0), (-2.5 + 300.0j, 400.0), (0.5 + 7.5j, 81.0),
+    (-3.5 + 10.0j, 30.0), (1.0 + 0.0j, 0.25)])
+def test_hyp0f1_against_mpmath(b, y):
+    mpmath.mp.dps = 40
+    got, big = switching._hyp0f1(b, y)
+    want = complex(mpmath.hyp0f1(mpmath.mpc(b.real, b.imag), -y))
+    # rounding of the sum stays within a few eps of its largest term
+    assert abs(got - want) <= 8 * 2.0 ** -52 * big
+    assert big >= 1.0
+
+
+def test_hyp0f1_pole_is_a_domain_error():
+    with pytest.raises(DomainError):
+        switching._hyp0f1(-2.0 + 0.0j, 1.0)
+
+
+@pytest.mark.parametrize("d0,k", [(400.0, 0.05), (100.0, 0.2), (60.0, 0.1),
+                                  (20.0, 0.04)])
+def test_switch_off_past_the_old_overflow_edge(d0, k):
+    # |Im p| = d0 / 2k >= 250: the Bessel form overflowed in sin(pi p) here
+    p = PhysicalParams.make(delta01=d0, k_off=k)
+    init = init_coherence_after_storage(p, 0.0, 0.0, 1.0)
+    got = switch_off_asymptotic(p, init, 0.0, 0.0)
+    assert abs(got.norm_sq / init.norm_sq - 1.0) < 1e-14
+    eps = transfer_efficiency(p)
+    assert 1.0 - 1e-6 < eps <= 1.0      # slow switch, far off resonance
+    # the series agrees with mpmath's 0F1 at this |Im p|
+    mpmath.mp.dps = 40
+    pp = 0.5 * (1.0 + 1j * d0 / k)
+    y = 0.25 / (k * k)
+    want = (init.r12 * mpmath.hyp0f1(pp, -y) + 1j * init.r13
+            * (0.5 / (k * pp)) * mpmath.hyp0f1(pp + 1, -y))
+    assert abs(got.r12 - complex(want)) < 1e-12 * math.sqrt(init.norm_sq)
+
+
+@pytest.mark.parametrize("which", ["off", "on"])
+def test_ill_conditioned_slow_switch_is_a_domain_error(which):
+    # near resonance and slow: the largest series term is ~1e13 times the
+    # result, past the rounding limit
+    if which == "off":
+        p = PhysicalParams.make(delta01=0.5, k_off=0.02)
+        with pytest.raises(DomainError, match="rounding"):
+            transfer_efficiency(p)
+    else:
+        p = PhysicalParams.make(delta02=0.5, k_on=0.02)
+        with pytest.raises(DomainError, match="rounding"):
+            switch_on_coefficients(p)
+
+
+def test_switch_on_efficiency_needs_off_resonant_read():
+    # the adiabatic weight (W2/delta02)^2 would exceed 1 and eps_r with it
+    with pytest.raises(DomainError, match="off-resonant"):
+        switch_on_efficiency(PhysicalParams(delta02=0.5, k_on=50.0))
