@@ -18,7 +18,8 @@ import numpy as np
 from . import efficiency, mbsolver, strcheck, switching
 from .params import (BROADENING_KEYS, BroadeningSpec, ConfigError,
                      DomainError, PhysicalParams, _coerce,
-                     broadening_from_config, load_config, params_from_config)
+                     broadening_from_config, load_config, params_from_config,
+                     stark_shifted_detuning)
 
 OBSERVABLES = ("remnant_r13", "eps_t", "eps_r", "gamma_factor",
                "overall_eff", "fidelity")
@@ -194,7 +195,7 @@ def _pipeline_kwargs(options: dict) -> dict:
 def _switch_off_final(params):
     """Line-centre coherence pair before the write control ramps down and
     its amplitudes after."""
-    shift = params.omega1_rabi ** 2 / params.delta01
+    shift = stark_shifted_detuning(params, 0.0, inverse=True)
     init = switching.init_coherence_after_storage(params, 0.0, shift, 1.0)
     return init, switching.switch_off_asymptotic(params, init, 0.0, shift)
 

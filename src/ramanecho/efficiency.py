@@ -36,7 +36,8 @@ from scipy.special import wofz
 
 from . import switching
 from .params import (GAUSSIAN, GRADIENT, LORENTZIAN, NONE, BroadeningSpec,
-                     DomainError, FieldEnvelope, PhysicalParams)
+                     DomainError, FieldEnvelope, PhysicalParams,
+                     stark_shifted_detuning)
 
 __all__ = [
     "EfficiencyBreakdown",
@@ -170,7 +171,7 @@ class EfficiencyBreakdown:
 def _budget_factors(params: PhysicalParams, broadening: BroadeningSpec):
     """eps_t, eps_r, the dephasing AMPLITUDE factor and the storage decay:
     every factor of the budget but the depth factor."""
-    shift = params.omega1_rabi ** 2 / params.delta01
+    shift = stark_shifted_detuning(params, 0.0, inverse=True)
     eps_t = switching.transfer_efficiency(params, 0.0, shift)
     eps_r = switching.switch_on_efficiency(params)
     gam = dephasing_factor(params, broadening)

@@ -5,11 +5,13 @@ pipeline and the closed-form spectral echo solution.
 Frames and conventions (group velocity 1, local time tau = t - z):
 
 full model, write stage (stage 1, forward field A):
-    dR13/dtau = -(i*(delta01 + delta1) + gamma31) R13 + i W(tau) R12 + i A
+    dR13/dtau = -(i*delta01 + gamma31) R13 + i W(tau) R12 + i A
     dR12/dtau = -(i*Delta1 + gamma21) R12 + i W(tau) R13
     dA/dZ     = i (beta/2) sum_nodes w R13
-Read stage (stage 2) propagates the field backward: dA/dZ flips sign and the
-boundary moves to Z = L.
+with Delta1 the raw two-photon detuning of each node and W(tau) the write
+control, Omega1 until tau0 and exp(-k_off (tau - tau0)) Omega1 after it.
+Read stage (stage 2) runs under the constant control Omega2 and propagates
+the field backward: dA/dZ flips sign and the boundary moves to Z = L.
 
 reduced model, stage mu with coupling r = W_mu/delta0_mu:
     dM/dtau = -(i*Dt + gamma21) M + i r E
@@ -34,7 +36,6 @@ from .params import (BroadeningSpec, DomainError, FieldEnvelope,
                      quadrature_nodes, stark_shifted_detuning)
 
 __all__ = [
-    "ControlSegment",
     "StageResult",
     "PipelineResult",
     "graded_z_grid",
@@ -51,80 +52,25 @@ __all__ = [
 ]
 
 
-# ===================== control schedules =====================
-
-@dataclass(frozen=True)
-class ControlSegment:
-    """One piece of a control timeline.  kinds:
-    constant  -> level
-    ramp_down -> level * exp(-rate * (tau - t0))
-    ramp_up   -> level * exp(+rate * (tau - t1))   (reaches level at t1)
-    """
-
-    t0: float
-    t1: float
-    kind: str = "constant"
-    level: float = 1.0
-    rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "ramp_down", "ramp_up"):
-            raise DomainError(f"unknown control segment kind {self.kind!r}")
-        if self.t1 <= self.t0:
-            raise DomainError("control segment needs t1 > t0")
-        if self.kind in ("ramp_down", "ramp_up") and self.rate <= 0:
-            raise DomainError("ramp segments need a positive rate")
-
-    def value(self, tau: float) -> float:
-        if self.kind == "constant":
-            return self.level
-        if self.kind == "ramp_down":
-            return self.level * math.exp(-self.rate * (tau - self.t0))
-        return self.level * math.exp(self.rate * (tau - self.t1))
-
-
-def control_value(schedule, tau: float) -> float:
-    for seg in schedule:
-        if seg.t0 <= tau <= seg.t1:
-            return seg.value(tau)
-    return 0.0
-
-
-def write_schedule(params: PhysicalParams, t_end: float):
-    """Constant write control until tau0, then exponential ramp-down."""
-    segs = [ControlSegment(0.0, params.tau0, "constant",
-                           params.omega1_rabi)]
-    if t_end > params.tau0:
-        segs.append(ControlSegment(params.tau0, t_end, "ramp_down",
-                                   params.omega1_rabi, params.k_off))
-    return tuple(segs)
-
-
-def read_schedule(params: PhysicalParams, t_on: float, t_end: float):
-    """Exponential ramp-up reaching the read level at t_on, then constant."""
-    segs = []
-    if t_on > 0.0:
-        segs.append(ControlSegment(0.0, t_on, "ramp_up",
-                                   params.omega2_rabi, params.k_on))
-    segs.append(ControlSegment(t_on, t_end, "constant", params.omega2_rabi))
-    return tuple(segs)
-
-
-# ===================== result records =====================
+# ===================== result record =====================
 
 @dataclass
 class StageResult:
-    """One stage of propagation on the (tau, z, node) grid."""
+    """One stage of propagation on the (tau, z, node) grid.  m_final is the
+    final spin coherence of either model: M in the reduced one, R12 in the
+    full one, which adds the optical coherence r13.  Only the reduced model
+    records the field and collective-spin histories."""
 
     tau: np.ndarray
     z: np.ndarray
     d_nodes: np.ndarray
     weights: np.ndarray
     field_out: FieldEnvelope
-    m_final: np.ndarray                  # (nz, nd) spin amplitudes at tau[-1]
-    e_history: np.ndarray                # (nt, nz)
-    s_history: np.ndarray                # (nt, nz): weighted node sum of M
-    m_history: np.ndarray | None = None  # (nt, nz_sub, nd_sub) optional
+    m_final: np.ndarray                    # (nz, nd) at tau[-1]
+    r13: np.ndarray | None = None          # (nz, nd) full model
+    e_history: np.ndarray | None = None    # (nt, nz) reduced model
+    s_history: np.ndarray | None = None    # (nt, nz): weighted node sum of M
+    m_history: np.ndarray | None = None    # (nt, nz_sub, nd_sub) optional
     m_hist_z_idx: np.ndarray | None = None
     m_hist_d_idx: np.ndarray | None = None
     energy_in: float = 0.0
@@ -134,21 +80,6 @@ class StageResult:
     @property
     def dtau(self) -> float:
         return float(self.tau[1] - self.tau[0])
-
-
-@dataclass
-class FullStageResult:
-    tau: np.ndarray
-    z: np.ndarray
-    Delta1: np.ndarray
-    delta1: np.ndarray
-    weights: np.ndarray
-    field_out: FieldEnvelope
-    r13: np.ndarray
-    r12: np.ndarray
-    energy_in: float = 0.0
-    energy_out: float = 0.0
-    stored: float = 0.0
 
 
 # ===================== grids & inputs =====================
@@ -290,10 +221,11 @@ def stored_excitation(params, z, weights, *coherences) -> float:
 # ===================== reduced solver =====================
 
 def _reduced_stage(params, grid, direction, z, d_nodes, weights, env, stage,
-                   m_init, m_subset) -> StageResult:
+                   m_init, m_subset=None) -> StageResult:
     """Reduced model: the field is algebraic in M, so the marching state is
     just the (nz, nd) spin array.  env is the input field (None: no
-    input)."""
+    input); m_subset = (z indices, node indices) keeps that corner of the M
+    history."""
     tau, sign, exit_idx = grid
     e_in = _sample_input(env, tau)
     r = params.omega(stage) / params.delta0(stage)
@@ -305,11 +237,11 @@ def _reduced_stage(params, grid, direction, z, d_nodes, weights, env, stage,
     nt, nz = len(tau), len(z)
     e_hist = np.empty((nt, nz), dtype=complex)
     s_hist = np.empty((nt, nz), dtype=complex)
-    m_hist = None
+    z_idx = d_idx = m_hist = None
     if m_subset is not None:
-        sub = np.ix_(*m_subset)
-        m_hist = np.empty((nt, len(m_subset[0]), len(m_subset[1])),
-                          dtype=complex)
+        z_idx, d_idx = map(np.asarray, m_subset)
+        sub = np.ix_(z_idx, d_idx)
+        m_hist = np.empty((nt, len(z_idx), len(d_idx)), dtype=complex)
 
     def deriv(m, e0):
         s = m @ weights
@@ -324,18 +256,14 @@ def _reduced_stage(params, grid, direction, z, d_nodes, weights, env, stage,
     m = _rk4_march(m_init.astype(complex), tau, e_in[0], e_in[1], deriv,
                    record)
     out = _exit_field(e_hist[:, exit_idx], tau, z, exit_idx, direction)
-    res = StageResult(tau=tau, z=z, d_nodes=d_nodes, weights=weights,
-                      field_out=out, m_final=m, e_history=e_hist,
-                      s_history=s_hist,
-                      energy_in=float(np.trapezoid(np.abs(e_in[0]) ** 2,
-                                                   tau)),
-                      energy_out=out.energy(),
-                      stored=stored_excitation(params, z, weights, m))
-    if m_subset is not None:
-        res.m_history = m_hist
-        res.m_hist_z_idx = np.asarray(m_subset[0])
-        res.m_hist_d_idx = np.asarray(m_subset[1])
-    return res
+    return StageResult(tau=tau, z=z, d_nodes=d_nodes, weights=weights,
+                       field_out=out, m_final=m, e_history=e_hist,
+                       s_history=s_hist, m_history=m_hist,
+                       m_hist_z_idx=z_idx, m_hist_d_idx=d_idx,
+                       energy_in=float(np.trapezoid(np.abs(e_in[0]) ** 2,
+                                                    tau)),
+                       energy_out=out.energy(),
+                       stored=stored_excitation(params, z, weights, m))
 
 
 def simulate_storage_reduced(params: PhysicalParams,
@@ -368,15 +296,13 @@ def simulate_storage_reduced(params: PhysicalParams,
 
 
 def simulate_retrieval_reduced(params: PhysicalParams,
-                               broadening: BroadeningSpec,
                                m_initial: np.ndarray,
                                z: np.ndarray,
                                d_nodes: np.ndarray,
                                weights: np.ndarray, *,
                                t_end: float,
                                dtau: float,
-                               direction: str = "backward",
-                               m_subset=None) -> StageResult:
+                               direction: str = "backward") -> StageResult:
     """Read-stage run of the reduced model from a prepared spin array.
 
     The node grid is still the stage-1 shifted detuning; each node evolves at
@@ -388,18 +314,10 @@ def simulate_retrieval_reduced(params: PhysicalParams,
                        np.max(np.abs(params.eta * d_nodes)) + params.gamma21,
                        0.5, direction, len(z))
     return _reduced_stage(params, grid, direction, z, d_nodes, weights, None,
-                          2, m_initial, m_subset)
+                          2, m_initial)
 
 
 # ===================== full solver =====================
-
-def _full_ensemble(params, broadening, n_nodes, n_optical):
-    d_nodes, d_w = quadrature_nodes(broadening, n_nodes, line="raman")
-    o_nodes, o_w = quadrature_nodes(broadening, n_optical, line="optical")
-    dd, oo = np.meshgrid(d_nodes, o_nodes, indexing="ij")
-    ww = np.outer(d_w, o_w)
-    return dd.ravel(), oo.ravel(), ww.ravel(), d_nodes
-
 
 def _raw_two_photon(params, d_nodes, stage):
     """Raw two-photon detuning that puts the stage's shifted detuning at the
@@ -409,29 +327,29 @@ def _raw_two_photon(params, d_nodes, stage):
     return stark_shifted_detuning(params, target, stage, inverse=True)
 
 
-def _ramp_rate(schedule) -> float:
-    """Largest ramp rate of a control schedule; 0 without one."""
-    return max((seg.rate for seg in schedule or ()
-                if seg.kind != "constant"), default=0.0)
+def _control(params, stage, tau):
+    """Control Rabi frequency at the times tau.  The write control is
+    Omega1 up to tau0 and Omega1 exp(-k_off (tau - tau0)) after it; the
+    read control is the constant Omega2."""
+    if stage == 2:
+        return np.full(len(tau), params.omega2_rabi)
+    return params.omega1_rabi * np.exp(
+        -params.k_off * np.maximum(tau - params.tau0, 0.0))
 
 
-def _full_stage(params, grid, direction, z, Delta1, delta1, weights, env,
-                schedule, stage, y0) -> FullStageResult:
-    """Full model on the stacked state y = (R13, R12), shape (2, nz, n).
-    env is the input field (None: no input); without a schedule the
-    stage's control stays at its constant level."""
+def _full_stage(params, grid, direction, z, d_nodes, weights, env, stage,
+                y0) -> StageResult:
+    """Full model on the stacked state y = (R13, R12), shape (2, nz, nd).
+    env is the input field (None: no input)."""
     tau, sign, exit_idx = grid
     a_in = _sample_input(env, tau)
-    if schedule is None:
-        schedule = (ControlSegment(0.0, tau[-1], "constant",
-                                   params.omega(stage)),)
-    d0 = params.delta0(stage)
-    lam = np.stack([-(1j * (d0 + delta1) + params.gamma31),
-                    -(1j * Delta1 + params.gamma21)])[:, None, :]
+    raw = _raw_two_photon(params, d_nodes, stage)
+    lam = np.empty((2, 1, len(raw)), dtype=complex)
+    lam[0] = -(1j * params.delta0(stage) + params.gamma31)
+    lam[1] = -(1j * raw + params.gamma21)
     ihb = 1j * (0.5 * params.beta)
     hz = 0.5 * np.diff(z)
-    iw = [1j * np.array([control_value(schedule, t) for t in ts])
-          for ts in (tau, _midpoints(tau))]
+    iw = [1j * _control(params, stage, ts) for ts in (tau, _midpoints(tau))]
     a_exit = np.empty(len(tau), dtype=complex)
 
     def deriv(y, u):
@@ -446,9 +364,9 @@ def _full_stage(params, grid, direction, z, Delta1, delta1, weights, env,
     y = _rk4_march(y0.astype(complex), tau, list(zip(a_in[0], iw[0])),
                    list(zip(a_in[1], iw[1])), deriv, record)
     out = _exit_field(a_exit, tau, z, exit_idx, direction)
-    return FullStageResult(
-        tau=tau, z=z, Delta1=Delta1, delta1=delta1, weights=weights,
-        field_out=out, r13=y[0], r12=y[1],
+    return StageResult(
+        tau=tau, z=z, d_nodes=d_nodes, weights=weights, field_out=out,
+        m_final=y[1], r13=y[0],
         energy_in=float(np.trapezoid(np.abs(a_in[0]) ** 2, tau)),
         energy_out=out.energy(),
         stored=stored_excitation(params, z, weights, y[0], y[1]))
@@ -460,47 +378,41 @@ def simulate_storage_full(params: PhysicalParams,
                           t_end: float,
                           dtau: float | None = None,
                           n_nodes: int | None = None,
-                          n_optical: int = 1,
-                          nz: int = 48,
-                          control_schedule=None) -> FullStageResult:
+                          nz: int = 48) -> StageResult:
     """Write-stage run of the full three-level model (no adiabatic
-    elimination).  fastest = |delta01 + delta1| + Omega1 + the largest ramp
-    rate of control_schedule; RK4 resolves the optical phase and the ramp
-    while dtau * fastest <= 0.2, and the default step is 0.15 / fastest."""
-    Dg, og, wg, d_nodes = _full_ensemble(params, broadening, n_nodes,
-                                         n_optical)
-    Delta1 = _raw_two_photon(params, Dg, 1)
-    fastest = (np.max(np.abs(params.delta01 + og)) + params.omega1_rabi
-               + _ramp_rate(control_schedule))
+    elimination) under the write control of `_control`.  fastest =
+    |delta01| + Omega1, plus k_off when t_end > tau0; RK4 resolves the
+    optical phase and the ramp while dtau * fastest <= 0.2, and the default
+    step is 0.15 / fastest."""
+    d_nodes, weights = quadrature_nodes(broadening, n_nodes, line="raman")
+    ramp = params.k_off if t_end > params.tau0 else 0.0
+    fastest = abs(params.delta01) + params.omega1_rabi + ramp
     if dtau is None:
         dtau = 0.15 / fastest
     depth = efficiency.line_center_depth(params, broadening)
     z = graded_z_grid(params.medium_length, depth, n_uniform=nz)
     grid = _stage_grid(params, t_end, dtau, fastest, 0.2, "forward", len(z))
-    return _full_stage(params, grid, "forward", z, Delta1, og, wg,
-                       input_field, control_schedule, 1,
-                       np.zeros((2, len(z), len(Delta1))))
+    return _full_stage(params, grid, "forward", z, d_nodes, weights,
+                       input_field, 1, np.zeros((2, len(z), len(d_nodes))))
 
 
 def simulate_retrieval_full(params: PhysicalParams,
-                            broadening: BroadeningSpec,
                             r13_init: np.ndarray, r12_init: np.ndarray,
-                            z: np.ndarray, Delta1_grid: np.ndarray,
-                            delta1_grid: np.ndarray, weights: np.ndarray, *,
+                            z: np.ndarray, d_nodes: np.ndarray,
+                            weights: np.ndarray, *,
                             t_end: float,
                             dtau: float | None = None,
-                            control_schedule=None,
-                            direction: str = "backward") -> FullStageResult:
-    """Read-stage run of the full model from prepared coherence arrays.
-    Delta1_grid must already be the stage-2 raw two-photon detunings.  The
-    step follows the write-stage rule with delta02, Omega2 and the schedule."""
-    fastest = (np.max(np.abs(params.delta02 + delta1_grid))
-               + params.omega2_rabi + _ramp_rate(control_schedule))
+                            direction: str = "backward") -> StageResult:
+    """Read-stage run of the full model from prepared coherence arrays under
+    the constant read control Omega2.  d_nodes is the write stage's node
+    grid; each node runs at the raw detuning that puts its shifted one at
+    -eta*d.  The step follows the write-stage rule with delta02 and
+    Omega2."""
+    fastest = abs(params.delta02) + params.omega2_rabi
     if dtau is None:
         dtau = 0.15 / fastest
     grid = _stage_grid(params, t_end, dtau, fastest, 0.2, direction, len(z))
-    return _full_stage(params, grid, direction, z, Delta1_grid, delta1_grid,
-                       weights, None, control_schedule, 2,
+    return _full_stage(params, grid, direction, z, d_nodes, weights, None, 2,
                        np.stack([r13_init, r12_init]))
 
 
@@ -550,7 +462,6 @@ def stage_handoff_multipliers(params: PhysicalParams, d_nodes: np.ndarray):
     on = switching.switch_on_coefficients(params)
     w2 = params.omega2_rabi / params.delta02
     on_factor = on.c12 + 1j * w2 * on.c13
-    shift1 = params.omega1_rabi ** 2 / params.delta01
     mult = np.empty(len(d_nodes), dtype=complex)
     for i, d in enumerate(d_nodes):
         raw = stark_shifted_detuning(params, d, 1, inverse=True)
@@ -558,8 +469,7 @@ def stage_handoff_multipliers(params: PhysicalParams, d_nodes: np.ndarray):
         pair = switching.CoherencePair(r12=1.0 + 0.0j,
                                        r13=pre.r13 / pre.r12)
         off = switching.switch_off_asymptotic(params, pair, 0.0, raw)
-        interval = np.exp(-(1j * (d + shift1) + params.gamma21)
-                          * params.tau_st)
+        interval = np.exp(-(1j * raw + params.gamma21) * params.tau_st)
         mult[i] = off.r12 * interval * on_factor
     return mult
 
@@ -600,6 +510,7 @@ def run_pipeline(params: PhysicalParams, broadening: BroadeningSpec, *,
     p = params
     if p.beta <= 0:
         p = efficiency.resolve_coupling(p, broadening)
+    breakdown = efficiency.overall_efficiency(p, broadening)
     env_in = gaussian_input(t_peak, sigma_t, time_axis(p.tau0, dtau))
     storage = simulate_storage_reduced(p, broadening, env_in, t_end=p.tau0,
                                        dtau=dtau, n_nodes=n_nodes, nz=nz,
@@ -611,8 +522,8 @@ def run_pipeline(params: PhysicalParams, broadening: BroadeningSpec, *,
         + 8.0 * dtau
     dtau2 = dtau / eta if eta > 1 else dtau
     retrieval = simulate_retrieval_reduced(
-        p, broadening, m2, storage.z, storage.d_nodes, storage.weights,
-        t_end=t_end2, dtau=dtau2, direction=direction, m_subset=m_subset)
+        p, m2, storage.z, storage.d_nodes, storage.weights, t_end=t_end2,
+        dtau=dtau2, direction=direction)
     echo = retrieval.field_out
     eps_sim = echo.energy() / storage.energy_in if storage.energy_in else 0.0
     ip = int(np.argmax(np.abs(env_in.samples)))
@@ -620,7 +531,6 @@ def run_pipeline(params: PhysicalParams, broadening: BroadeningSpec, *,
     t_peak_meas = float(env_in.axis[ip])
     tau2_peak = float(echo.axis[ie])
     delay = (p.tau0 - t_peak_meas) + p.tau_st + tau2_peak
-    breakdown = efficiency.overall_efficiency(p, broadening)
     return PipelineResult(
         params=p, broadening=broadening, input_env=env_in, echo_env=echo,
         storage=storage, retrieval=retrieval, eps_sim=eps_sim,

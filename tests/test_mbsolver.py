@@ -11,13 +11,11 @@ from ramanecho.efficiency import (
     resolve_coupling,
 )
 from ramanecho.mbsolver import (
-    ControlSegment,
+    _control,
     _field_integral,
-    control_value,
     echo_spectral_solution,
     gaussian_input,
     graded_z_grid,
-    read_schedule,
     run_pipeline,
     simulate_retrieval_full,
     simulate_retrieval_reduced,
@@ -26,7 +24,6 @@ from ramanecho.mbsolver import (
     stage_handoff_multipliers,
     stored_excitation,
     time_axis,
-    write_schedule,
 )
 from ramanecho.params import (
     BroadeningSpec,
@@ -127,9 +124,8 @@ def test_write_rejects_coarse_time_step():
 
 def test_read_energy_theorem(write_run):
     p, env, res = write_run
-    ret = simulate_retrieval_reduced(p, UNIFORM161, res.m_final, res.z,
-                                     res.d_nodes, res.weights, t_end=90.0,
-                                     dtau=0.125)
+    ret = simulate_retrieval_reduced(p, res.m_final, res.z, res.d_nodes,
+                                     res.weights, t_end=90.0, dtau=0.125)
     released = res.stored - ret.stored
     assert released > 0
     assert ret.energy_out == pytest.approx(released, rel=0.01)
@@ -192,12 +188,12 @@ def test_full_write_default_step_resolves_the_control_ramp():
     env = gaussian_input(1.0, 0.3, np.linspace(0.0, 2.1, 401))
 
     def run(dtau=None):
-        return simulate_storage_full(
-            p, broad, env, t_end=2.1, n_nodes=9, nz=24, dtau=dtau,
-            control_schedule=write_schedule(p, 2.1))
+        return simulate_storage_full(p, broad, env, t_end=2.1, n_nodes=9,
+                                     nz=24, dtau=dtau)
     res = run()
     fine = run(dtau=(res.tau[1] - res.tau[0]) / 4.0)
-    err = np.max(np.abs(res.r12 - fine.r12)) / np.max(np.abs(fine.r12))
+    err = (np.max(np.abs(res.m_final - fine.m_final))
+           / np.max(np.abs(fine.m_final)))
     assert err < 1e-6
 
 
@@ -210,8 +206,8 @@ def test_full_read_energy_theorem():
         * np.ones(8)[None, :] + 0j
     r13 = np.zeros_like(r12)
     stored0 = stored_excitation(p, z, weights, r13, r12)
-    res = simulate_retrieval_full(p, gaussian_shape(0.05), r13, r12, z,
-                                  nodes, np.zeros(8), weights, t_end=30.0)
+    res = simulate_retrieval_full(p, r13, r12, z, nodes, weights,
+                                  t_end=30.0)
     released = stored0 - res.stored
     assert released > 0
     assert res.energy_out == pytest.approx(released, rel=0.02)
@@ -231,9 +227,8 @@ def test_full_read_rejects_coarse_step():
     z = np.linspace(0.0, 1.0, 9)
     r12 = np.ones((9, 4), complex)
     with pytest.raises(DomainError):
-        simulate_retrieval_full(p, gaussian_shape(0.05), np.zeros_like(r12),
-                                r12, z, nodes, np.zeros(4), weights,
-                                t_end=1.0, dtau=0.1)
+        simulate_retrieval_full(p, np.zeros_like(r12), r12, z, nodes,
+                                weights, t_end=1.0, dtau=0.1)
 
 
 @pytest.mark.parametrize("model", ["reduced", "full"])
@@ -247,14 +242,24 @@ def test_read_rejects_unknown_direction_before_marching(model, monkeypatch):
     spin = np.ones((9, 4), complex)
     with pytest.raises(DomainError):
         if model == "reduced":
-            simulate_retrieval_reduced(p, gaussian_shape(0.05), spin, z,
-                                       nodes, weights, t_end=1.0, dtau=0.05,
+            simulate_retrieval_reduced(p, spin, z, nodes, weights,
+                                       t_end=1.0, dtau=0.05,
                                        direction="backwards")
         else:
-            simulate_retrieval_full(p, gaussian_shape(0.05),
-                                    np.zeros_like(spin), spin, z, nodes,
-                                    np.zeros(4), weights, t_end=1.0,
+            simulate_retrieval_full(p, np.zeros_like(spin), spin, z, nodes,
+                                    weights, t_end=1.0,
                                     direction="backwards")
+
+
+def test_pipeline_rejects_resonant_read_before_marching(monkeypatch):
+    # eps_r needs |delta02| > Omega2; here delta02 = 1.5 < Omega2 = 2
+    def no_march(*args):
+        raise AssertionError("a march ran before the read-stage check")
+    monkeypatch.setattr(mbsolver, "_rk4_march", no_march)
+    p = PhysicalParams.make(eta=4.0, delta01=1.5, tau0=70.0,
+                            optical_depth=2.0)
+    with pytest.raises(DomainError, match="off-resonant read"):
+        run_pipeline(p, UNIFORM161)
 
 
 @pytest.mark.parametrize("dtau", [0.0, -0.1, math.nan, math.inf, 1e-9])
@@ -400,24 +405,24 @@ def test_graded_grid_uniform_when_thin():
     assert np.allclose(np.diff(z), 1.0 / 40.0)
 
 
-def test_control_schedule_composition():
-    p = PhysicalParams.make(delta01=10.0, tau0=20.0, k_off=2.0, k_on=4.0,
-                            eta=4.0)
-    ws = write_schedule(p, 30.0)
-    assert control_value(ws, 10.0) == pytest.approx(1.0)
-    assert control_value(ws, 21.0) == pytest.approx(math.exp(-2.0))
-    rs = read_schedule(p, 5.0, 20.0)
-    assert control_value(rs, 5.0) == pytest.approx(p.omega2_rabi)
-    assert control_value(rs, 4.0) == pytest.approx(p.omega2_rabi
-                                                   * math.exp(-4.0))
-    assert control_value(rs, 10.0) == pytest.approx(p.omega2_rabi)
-    assert control_value(rs, 25.0) == 0.0
-
-
-def test_control_segment_validation():
-    with pytest.raises(DomainError):
-        ControlSegment(0.0, 0.0)
-    with pytest.raises(DomainError):
-        ControlSegment(0.0, 1.0, "warble")
-    with pytest.raises(DomainError):
-        ControlSegment(0.0, 1.0, "ramp_down", 1.0, 0.0)
+def test_full_model_control_follows_the_parameters():
+    # the write control holds Omega1 up to tau0 and decays at k_off after
+    # it; the read control is Omega2 throughout
+    p = PhysicalParams.make(delta01=10.0, tau0=20.0, k_off=2.0, eta=4.0)
+    w = _control(p, 1, np.array([0.0, 10.0, 20.0, 21.0]))
+    assert np.array_equal(w[:3], np.full(3, p.omega1_rabi))
+    assert w[3] == pytest.approx(p.omega1_rabi * math.exp(-2.0), rel=1e-15)
+    assert np.array_equal(_control(p, 2, np.linspace(0.0, 30.0, 7)),
+                          np.full(7, p.omega2_rabi))
+    # only a write past tau0 adds k_off to the step rule: at the ramp
+    # test's configuration a write to 2.1 steps at 0.15 / (10 + 1 + 500)
+    # past tau0 = 2 and at 0.15 / (10 + 1) when it ends at tau0 = 2.1
+    broad = BroadeningSpec(raman_kind="gaussian", raman_width=0.3,
+                           rule="gauss", n_default=9)
+    env = gaussian_input(1.0, 0.3, np.linspace(0.0, 2.1, 401))
+    for tau0, steps in ((2.0, 7154), (2.1, 154)):
+        p = resolve_coupling(PhysicalParams.make(
+            delta01=10.0, optical_depth=5.0, tau0=tau0, k_off=500.0), broad)
+        res = simulate_storage_full(p, broad, env, t_end=2.1, n_nodes=9,
+                                    nz=24)
+        assert len(res.tau) - 1 == steps
